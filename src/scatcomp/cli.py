@@ -19,7 +19,7 @@ import time
 from . import verify as verify_mod
 from .arch import arch_factorize
 from .complement import complement_set, complement_set_with_multiplicity, complement_table
-from .disjoint_embed import exists_word, find_w, reconstruct_word
+from .disjoint_embed import find_w, reconstruct_word
 from .embeddings import count_embeddings, enumerate_embeddings, group_equal_complements
 from .errors import BudgetExceeded, ScatcompError
 from .inverse_u import find_u, find_u_all
@@ -201,14 +201,10 @@ def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
 def _cmd_exists_w(args, out: _Emit) -> int:
     pairs, alpha = _read_pairs(args.pairs)
     out.stats["set_size"] = len(pairs)
-    if not exists_word(pairs):
-        out.result = None
-        out.say("no solution")
-        return 1
     w = reconstruct_word(pairs)
-    out.result = alpha.decode(w)
-    out.say(alpha.decode(w))
-    return 0
+    out.result = None if w is None else alpha.decode(w)
+    out.say("no solution" if w is None else alpha.decode(w))
+    return 1 if w is None else 0
 
 
 def _cmd_find_w(args, out: _Emit) -> int:

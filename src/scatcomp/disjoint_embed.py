@@ -2,18 +2,24 @@
 interleaves every given pair (v_i, u_i), and rebuild such a w letter by
 letter.
 
-Writing w left to right, each pair independently tracks how much of v_i and
-u_i is still unwritten; a state is the vector of per-pair suffix splits, and
-all pairs share the same number of remaining letters.  A letter x can be
-written only if every pair can consume it from one of its two suffixes, and
-a pair whose suffixes both start with x may consume from either, so the
-search branches over those choices.
+All three calls share one search over interleaving frontiers.  After the
+first t letters of w, a pair's frontier is the set of values a such that
+those letters split into v_i[:a] and u_i[:t - a]; it is kept as a bitset, bit
+a standing for a.  Writing a letter x maps each frontier deterministically
+to its successor (a moves to a + 1 where v_i[a] = x, and stays where
+u_i[t - a] = x), so a search state is just the tuple of frontiers, one per
+distinct pair, and it is dead as soon as any frontier is empty.  A depth-first
+search with an explicit stack tries letters in ascending order and remembers
+the (t, state) keys below which no witness exists, so it meets complete
+witnesses in lexicographic order and the first one is the least.  Pairs
+whose letter multisets differ have no witness and are rejected before the
+search; otherwise the state count can still grow exponentially with the
+number of pairs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from itertools import product
+from collections.abc import Iterable, Iterator, Sequence
 
 from .complement import complement_set
 from .errors import BudgetExceeded, LengthMismatch
@@ -42,93 +48,93 @@ def shared_first_letters(
     return out
 
 
-class _Instance:
-    """Suffix-split state space for one pair list, with a lazy truth memo."""
+def _pair_masks(v: tuple[int, ...], u: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """Letter -> (bitset of the positions of v holding it, the same for the
+    reversed u); bit a of the second, shifted right by |u| - 1 - t, says
+    whether u[t - a] holds the letter."""
+    masks = {x: [0, 0] for x in v + u}
+    for i, x in enumerate(v):
+        masks[x][0] |= 1 << i
+    for i, x in enumerate(reversed(u)):
+        masks[x][1] |= 1 << i
+    return {x: tuple(m) for x, m in masks.items()}
 
-    def __init__(self, pairs):
-        self.vs = [tuple(v) for v, _ in pairs]
-        self.us = [tuple(u) for _, u in pairs]
-        if not self.vs:
-            raise ValueError("need at least one pair")
-        lengths = {len(v) + len(u) for v, u in zip(self.vs, self.us)}
-        if len(lengths) != 1:
-            raise LengthMismatch(f"pairs disagree on total length: {sorted(lengths)}")
-        self.n = lengths.pop()
-        self.root = (self.n, tuple(len(v) for v in self.vs))
-        self._memo: dict[tuple[int, tuple[int, ...]], bool] = {}
 
-    def moves(self, state):
-        """Yield (letter, successor states) for each writable letter, letters
-        ascending; successors enumerate the per-pair consumption choices."""
-        ell, splits = state
-        options: list[dict[int, list[int]]] = []
-        shared: set[int] | None = None
-        for i, a in enumerate(splits):
-            v, u = self.vs[i], self.us[i]
-            opts: dict[int, list[int]] = {}
-            if a > 0:
-                opts.setdefault(v[len(v) - a], []).append(a - 1)
-            if ell - a > 0:
-                opts.setdefault(u[len(u) - (ell - a)], []).append(a)
-            options.append(opts)
-            shared = set(opts) if shared is None else shared & set(opts)
-            if not shared:
-                return
-        for x in sorted(shared):
-            succs = [
-                (ell - 1, s) for s in product(*(opts[x] for opts in options))
-            ]
-            yield x, succs
+def _interleavings(
+    pairs: Iterable[tuple[Sequence[int], Sequence[int]]]
+) -> Iterator[Word]:
+    """Every word interleaving all pairs, in lexicographic order."""
+    pairs = [(tuple(v), tuple(u)) for v, u in pairs]
+    if not pairs:
+        raise ValueError("need at least one pair")
+    lengths = {len(v) + len(u) for v, u in pairs}
+    if len(lengths) != 1:
+        raise LengthMismatch(f"pairs disagree on total length: {sorted(lengths)}")
+    n = lengths.pop()
+    if n == 0:
+        yield Word(())
+        return
+    # A witness spells every pair's letters exactly, so the letter multisets
+    # agree, and every letter tried below has masks in every pair.
+    if len({tuple(sorted(v + u)) for v, u in pairs}) > 1:
+        return
+    # w interleaves (v, u) iff it interleaves (u, v), so both orders merge.
+    distinct = dict.fromkeys(min(p, p[::-1]) for p in pairs)
+    tables = [(_pair_masks(v, u), len(u) - 1) for v, u in distinct]
+    letters = sorted(tables[0][0])
 
-    def truth(self, state) -> bool:
-        memo = self._memo
-        got = memo.get(state)
-        if got is not None:
-            return got
-        if state[0] == 0:
-            memo[state] = True
-            return True
-        res = any(
-            self.truth(s) for _, succs in self.moves(state) for s in succs
-        )
-        memo[state] = res
-        return res
+    def step(state: tuple[int, ...], t: int, x: int) -> tuple[int, ...] | None:
+        out = []
+        for f, (masks, last) in zip(state, tables):
+            vm, rev = masks[x]
+            f = (f & vm) << 1 | f & (rev >> (last - t) if t <= last else rev << (t - last))
+            if not f:
+                return None
+            out.append(f)
+        return tuple(out)
+
+    dead: set[tuple[int, tuple[int, ...]]] = set()
+    prefix: list[int] = []
+    states = [(1,) * len(tables)]  # bit 0: no letter of v written
+    alive = [False]  # whether a witness was met below each stacked state
+    todo = [iter(letters)]
+    while todo:
+        t = len(prefix)
+        for x in todo[-1]:
+            nxt = step(states[-1], t, x)
+            if nxt is None or (t + 1, nxt) in dead:
+                continue
+            if t + 1 == n:
+                alive[-1] = True
+                yield Word(prefix + [x])
+                continue
+            prefix.append(x)
+            states.append(nxt)
+            alive.append(False)
+            todo.append(iter(letters))
+            break
+        else:
+            todo.pop()
+            state = states.pop()
+            if alive.pop():
+                if alive:
+                    alive[-1] = True
+            else:
+                dead.add((t, state))
+            if prefix:
+                prefix.pop()
 
 
 def exists_word(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> bool:
     """True iff some word interleaves every pair (v_i, u_i)."""
-    inst = _Instance(list(pairs))
-    return inst.truth(inst.root)
+    return reconstruct_word(pairs) is not None
 
 
 def reconstruct_word(
     pairs: Iterable[tuple[Sequence[int], Sequence[int]]]
 ) -> Word | None:
-    """Lexicographically least word interleaving every pair, or None.
-
-    Walks the state space keeping the whole frontier of viable states, so a
-    letter is committed exactly when some viable state can still finish.
-    """
-    inst = _Instance(list(pairs))
-    if not inst.truth(inst.root):
-        return None
-    out = []
-    frontier = {inst.root}
-    for _ in range(inst.n):
-        for x in sorted({a for st in frontier for a, _ in inst.moves(st)}):
-            nxt = {
-                s
-                for st in frontier
-                for a, succs in inst.moves(st)
-                if a == x
-                for s in succs
-                if inst.truth(s)
-            }
-            if nxt:
-                out.append(x)
-                frontier = nxt
-                break
-    return Word(out)
+    """Lexicographically least word interleaving every pair, or None."""
+    return next(_interleavings(pairs), None)
 
 
 def find_w(
@@ -141,7 +147,8 @@ def find_w(
     Witnesses interleaving every (v, u) pair are enumerated in lexicographic
     order and each is verified by recomputing its complement set; matching S
     as a subset does not guarantee equality, so verification can reject every
-    witness even when witnesses exist.
+    witness even when witnesses exist.  At most `budget` witnesses are
+    verified.
     """
     ut = tuple(u)
     vs = sorted({tuple(v) for v in S})
@@ -150,38 +157,10 @@ def find_w(
     lengths = {len(v) for v in vs}
     if len(lengths) != 1:
         raise LengthMismatch(f"words in S have different lengths: {sorted(lengths)}")
-    inst = _Instance([(v, ut) for v in vs])
-    if not inst.truth(inst.root):
-        return None
     target = frozenset(Word(v) for v in vs)
-    explored = 0
-    prefix: list[int] = []
-
-    # DFS over (prefix, viable-state frontier), letters ascending, so full
-    # witnesses come out in lexicographic order.
-    def dfs(frontier, depth: int) -> Word | None:
-        nonlocal explored
-        if depth == inst.n:
-            explored += 1
-            if explored > budget:
-                raise BudgetExceeded(f"witness exploration exceeded budget {budget}")
-            w = Word(prefix)
-            return w if complement_set(w, ut).words == target else None
-        for x in sorted({a for st in frontier for a, _ in inst.moves(st)}):
-            nxt = frozenset(
-                s
-                for st in frontier
-                for a, succs in inst.moves(st)
-                if a == x
-                for s in succs
-                if inst.truth(s)
-            )
-            if nxt:
-                prefix.append(x)
-                found = dfs(nxt, depth + 1)
-                prefix.pop()
-                if found is not None:
-                    return found
-        return None
-
-    return dfs(frozenset([inst.root]), 0)
+    for explored, w in enumerate(_interleavings([(v, ut) for v in vs]), 1):
+        if explored > budget:
+            raise BudgetExceeded(f"witness exploration exceeded budget {budget}")
+        if complement_set(w, ut).words == target:
+            return w
+    return None

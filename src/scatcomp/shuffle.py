@@ -17,31 +17,35 @@ from .words import Word
 
 
 def shuffle_set(u: Sequence[int], v: Sequence[int], budget: int = DEFAULT_BUDGET) -> set[Word]:
-    """All interleavings of u and v."""
+    """All interleavings of u and v.
+
+    Built bottom-up one row at a time: cell j of row i holds the
+    interleavings of u[i:] and v[j:].  `budget` caps the entries summed over
+    every cell the result is built from (the corner cell of two empty
+    suffixes is never needed unless u and v are both empty).
+    """
     u, v = tuple(u), tuple(v)
-    memo: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    m, k = len(u), len(v)
     stored = 0
 
-    def rec(i: int, j: int) -> set[tuple[int, ...]]:
+    def keep(cell: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
         nonlocal stored
-        key = (i, j)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if i == len(u):
-            r = {v[j:]}
-        elif j == len(v):
-            r = {u[i:]}
-        else:
-            r = {(u[i],) + s for s in rec(i + 1, j)}
-            r |= {(v[j],) + s for s in rec(i, j + 1)}
-        stored += len(r)
+        stored += len(cell)
         if stored > budget:
             raise BudgetExceeded(f"shuffle set storage exceeds budget {budget}")
-        memo[key] = r
-        return r
+        return cell
 
-    return {Word(t) for t in rec(0, 0)}
+    if not (m and k):
+        return {Word(t) for t in keep({u + v})}
+    row = [keep({v[j:]}) for j in range(k)]
+    for i in range(m - 1, -1, -1):
+        a = u[i]
+        nxt = [set()] * k + [keep({u[i:]})]
+        for j in range(k - 1, -1, -1):
+            b = v[j]
+            nxt[j] = keep({(a,) + s for s in row[j]} | {(b,) + s for s in nxt[j + 1]})
+        row = nxt
+    return {Word(t) for t in row[0]}
 
 
 def perfect_shuffle(u: Sequence[int], v: Sequence[int]) -> Word:

@@ -154,6 +154,14 @@ def test_find_w(tmp_path, capsys):
     assert (code, out) == (1, "no solution\n")
 
 
+def test_shuffle_of_a_long_word_ends_cleanly(capsys, monkeypatch):
+    # a^1200 with b: 1200 nested suffix cells, past the default recursion limit
+    monkeypatch.setenv("SCATCOMP_BUDGET", "100000")
+    code, _, err = run(capsys, "shuffle", "a" * 1200, "b", "--size-only")
+    assert code in (0, 3)
+    assert "Traceback" not in err
+
+
 def test_shuffle(capsys):
     code, out, _ = run(capsys, "shuffle", "ban", "ana", "--size-only")
     assert (code, out) == (0, "11\n")

@@ -1,5 +1,7 @@
 """Pairwise disjoint exhaustive embeddings: existence and reconstruction."""
 
+import random
+
 import pytest
 
 from scatcomp.complement import complement_set
@@ -9,10 +11,10 @@ from scatcomp.disjoint_embed import (
     reconstruct_word,
     shared_first_letters,
 )
-from scatcomp.errors import LengthMismatch
+from scatcomp.errors import BudgetExceeded, LengthMismatch
 from scatcomp.oracle import brute_exists_word
 from scatcomp.shuffle import in_shuffle
-from scatcomp.words import word
+from scatcomp.words import Word, word
 
 
 def test_single_pair_builds_an_interleaving():
@@ -93,8 +95,58 @@ def test_find_w_none_when_every_witness_overshoots():
 
 
 def test_find_w_respects_budget():
-    from scatcomp.errors import BudgetExceeded
-
     # the first witness abab is rejected, so a second verification is needed
     with pytest.raises(BudgetExceeded):
         find_w(word("ab"), [word("ba")], budget=1)
+    assert find_w(word("ab"), [word("ba")], budget=2) == word("abba")
+
+
+def _split(rng, w):
+    """A random (v, u) that w interleaves."""
+    mask = [rng.random() < 0.5 for _ in w]
+    return (
+        Word(a for a, m in zip(w, mask) if m),
+        Word(a for a, m in zip(w, mask) if not m),
+    )
+
+
+def test_differential_against_brute_scan():
+    rng = random.Random(2024)
+    for _ in range(300):
+        sigma, n = rng.randint(1, 3), rng.randint(0, 8)
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:  # a pair some hidden word interleaves
+                pairs.append(_split(rng, [rng.randint(1, sigma) for _ in range(n)]))
+            else:
+                k = rng.randint(0, n)
+                pairs.append((
+                    Word(rng.randint(1, sigma) for _ in range(k)),
+                    Word(rng.randint(1, sigma) for _ in range(n - k)),
+                ))
+        want = brute_exists_word(pairs, range(1, sigma + 1))
+        assert reconstruct_word(pairs) == want, pairs
+        assert exists_word(pairs) == (want is not None), pairs
+
+
+def test_eight_pair_unsatisfiable_family():
+    # the letter counts disagree only in the last pair; a search over each
+    # pair's individual splits, not their frontiers, multiplies the choices
+    a4 = word("aaaa")
+    pairs = [(a4, word("aaaab"))] * 7 + [(a4, word("aaaac"))]
+    assert not exists_word(pairs)
+    assert reconstruct_word(pairs) is None
+
+
+def test_long_inputs_need_no_recursion():
+    a, b = Word((1,) * 4000), Word((2,) * 4000)
+    assert exists_word([(a, b)])
+    assert reconstruct_word([(b, a)]) == a + b
+    rng = random.Random(600)
+    w = Word(rng.randint(1, 2) for _ in range(600))
+    for k in (1, 2, 3):
+        pairs = [_split(rng, w) for _ in range(k)]
+        assert exists_word(pairs)
+        got = reconstruct_word(pairs)
+        assert got <= w and all(in_shuffle(got, v, u) for v, u in pairs)
+
