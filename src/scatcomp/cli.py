@@ -88,7 +88,7 @@ def _cmd_complement(args, out: _Emit) -> int:
     cs = complement_set_with_multiplicity(w, u, **bk) if args.counts else complement_set(w, u, **bk)
     ordered = cs.sorted_words()
     out.stats["set_size"] = len(cs)
-    out.stats["embeddings"] = count_embeddings(w, u)
+    out.stats["embeddings"] = cs.total_embeddings if args.counts else count_embeddings(w, u)
     if args.counts:
         out.result = {text(v): cs.multiplicities[v] for v in ordered}
         for v in ordered:

@@ -6,6 +6,11 @@ embedding of u from w.  Two dynamic programs compute it: a prefix-table
 recurrence over growing prefixes of u (sets), and a suffix-matching
 recurrence over growing suffixes of u (sets with multiplicities that count
 embeddings per complement word).
+
+Both tables charge the number of stored words against a budget and stop with
+``BudgetExceeded`` at the first cell that takes the total past it, not after
+the row.  The suffix table builds, and charges, only the cells that can reach
+its answer cell.
 """
 
 from __future__ import annotations
@@ -69,17 +74,19 @@ def _extend_row(
 ) -> list[set[tuple[int, ...]]]:
     row: list[set[tuple[int, ...]]] = [set()]
     cur: set[tuple[int, ...]] = row[0]
-    size = 0
+    room = budget - tracker[0]
     for j, a in enumerate(wt, 1):
-        nxt = {v + (a,) for v in cur}
+        # an empty neighbour adds nothing; skipping its comprehension pays
+        # for the per-cell budget check on small words
+        nxt = {v + (a,) for v in cur} if cur else set()
         if a == letter:
             nxt |= prev[j - 1]
         row.append(nxt)
-        size += len(nxt)
+        room -= len(nxt)
+        if room < 0:
+            raise BudgetExceeded(f"prefix table exceeds budget {budget}")
         cur = nxt
-    tracker[0] += size
-    if tracker[0] > budget:
-        raise BudgetExceeded(f"prefix table exceeds budget {budget}")
+    tracker[0] = budget - room
     return row
 
 
@@ -141,6 +148,12 @@ def complement_table(
 # letter x on the left: every cell prepends w[j] to its right neighbour, and
 # where w[j] = x it also absorbs the parent row's right neighbour, adding
 # counts when the same complement word arises both ways.
+#
+# Cell (u[i:], j) reaches the answer cell (u, 1) only if the rest of u, u[:i],
+# embeds in w[1..j-1].  Its leftmost embedding ends at first[i], so the row
+# is built from column lo = first[i] + 1 rightwards and the cells left of lo
+# stay empty (Baeza-Yates, "Searching subsequences", TCS 1991).  With the
+# default lo = 1 the whole row is built.
 
 def _last_row(wt: tuple[int, ...]) -> list[dict[tuple[int, ...], int]]:
     n = len(wt)
@@ -157,21 +170,23 @@ def _extend_suffix_row(
     letter: int,
     tracker: list[int],
     budget: int,
+    lo: int = 1,
 ) -> list[dict[tuple[int, ...], int]]:
     n = len(wt)
     row: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 2)]
-    size = 0
-    for j in range(n, 0, -1):
+    room = budget - tracker[0]
+    for j in range(n, lo - 1, -1):
         a = wt[j - 1]
-        cell = {(a,) + v: c for v, c in row[j + 1].items()}
+        right = row[j + 1]
+        cell = {(a,) + v: c for v, c in right.items()} if right else {}
         if a == letter:
             for v, c in prev[j + 1].items():
                 cell[v] = cell.get(v, 0) + c
         row[j] = cell
-        size += len(cell)
-    tracker[0] += size
-    if tracker[0] > budget:
-        raise BudgetExceeded(f"suffix table exceeds budget {budget}")
+        room -= len(cell)
+        if room < 0:
+            raise BudgetExceeded(f"suffix table exceeds budget {budget}")
+    tracker[0] = budget - room
     return row
 
 
@@ -182,9 +197,13 @@ def complement_set_with_multiplicity(
     wt, ut = tuple(w), tuple(u)
     if not is_scattered_factor(ut, wt):
         raise NotAScatteredFactor(f"{Word(ut)!r} is not a scattered factor of {Word(wt)!r}")
+    # first[i]: length of the shortest prefix of w containing u[:i]
+    first = [0]
+    for x in ut:
+        first.append(wt.index(x, first[-1]) + 1)
     tracker = [0]
     row = _last_row(wt)
-    for x in reversed(ut):
-        row = _extend_suffix_row(wt, row, x, tracker, budget)
+    for i in reversed(range(len(ut))):
+        row = _extend_suffix_row(wt, row, ut[i], tracker, budget, first[i] + 1)
     mult = {Word(t): c for t, c in row[1].items()}
     return ComplementSet(frozenset(mult), mult)

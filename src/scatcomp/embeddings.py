@@ -18,15 +18,19 @@ Embedding = tuple[int, ...]
 
 def count_embeddings(w: Sequence[int], u: Sequence[int]) -> int:
     """Number of embeddings of u into w (0 when u is not a scattered factor)."""
-    w, u = tuple(w), tuple(u)
+    u = tuple(u)
     m = len(u)
+    # at[a] = the i with u[i-1] == a, descending, so each dp[i - 1] read is
+    # still the count before the current letter of w
+    at: dict[int, list[int]] = {}
+    for i in range(m, 0, -1):
+        at.setdefault(u[i - 1], []).append(i)
     # dp[i] = number of embeddings of u[:i] into the prefix scanned so far
     dp = [0] * (m + 1)
     dp[0] = 1
     for a in w:
-        for i in range(m, 0, -1):
-            if u[i - 1] == a:
-                dp[i] += dp[i - 1]
+        for i in at.get(a, ()):
+            dp[i] += dp[i - 1]
     return dp[m]
 
 

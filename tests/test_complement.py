@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 from scatcomp.complement import (
@@ -7,6 +10,7 @@ from scatcomp.complement import (
 )
 from scatcomp.embeddings import count_embeddings
 from scatcomp.errors import BudgetExceeded, NotAScatteredFactor
+from scatcomp.oracle import brute_complement_set
 from scatcomp.words import text, word
 
 
@@ -124,3 +128,49 @@ def test_budget_exceeded():
         complement_set(w, word("ab") * 5, budget=50)
     with pytest.raises(BudgetExceeded):
         complement_set_with_multiplicity(w, word("ab") * 5, budget=50)
+
+
+def _random_pair(rng, max_n, sigma, min_m=0):
+    w = tuple(rng.randint(1, sigma) for _ in range(rng.randint(max(min_m, 1), max_n)))
+    k = rng.randint(min_m, len(w))
+    return w, tuple(w[p] for p in sorted(rng.sample(range(len(w)), k)))
+
+
+def test_prefix_budget_is_the_table_total():
+    # the prefix table stores C(w[:j], u[:i]) for i, j >= 1; a call fits
+    # its budget exactly when the sum of their sizes does
+    rng = random.Random(3)
+    for _ in range(150):
+        w, u = _random_pair(rng, 9, rng.randint(1, 3), min_m=1)
+        total = sum(
+            len(brute_complement_set(w[:j], u[:i]))
+            for i in range(1, len(u) + 1)
+            for j in range(1, len(w) + 1)
+        )
+        with pytest.raises(BudgetExceeded):
+            complement_set(w, u, budget=total - 1)
+        assert complement_set(w, u, budget=total).words == brute_complement_set(w, u).words
+
+
+def test_suffix_table_against_brute_force():
+    rng = random.Random(4)
+    for _ in range(400):
+        w, u = _random_pair(rng, 12, rng.randint(1, 4))
+        cs = complement_set_with_multiplicity(w, u)
+        assert dict(cs.multiplicities) == dict(brute_complement_set(w, u).multiplicities)
+
+
+def test_tables_stop_before_their_memory_grows():
+    # one row of these tables holds millions of words; a per-cell budget
+    # check keeps the peak far below the size of a row
+    rng = random.Random(160)
+    w = tuple(rng.randint(1, 2) for _ in range(160))
+    for table in (complement_set, complement_set_with_multiplicity):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                table(w, w[::4], budget=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
