@@ -7,15 +7,22 @@ recurrence over growing prefixes of u (sets), and a suffix-matching
 recurrence over growing suffixes of u (sets with multiplicities that count
 embeddings per complement word).
 
-Both tables charge the number of stored words against a budget and stop with
-``BudgetExceeded`` at the first cell that takes the total past it, not after
-the row.  The suffix table builds, and charges, only the cells that can reach
-its answer cell.
+Table cells store each word as a ``bytes`` key, one fixed-width big-endian
+chunk per letter code (one byte when every code is at most 255).  Extending a
+word by a letter is then one bytes concatenation, and hashing it for the
+cell's set or dict is a hash that bytes compute once and cache, where a tuple
+would copy, incref and rehash all |v| letters.  Only the cells a caller sees
+are decoded back to ``Word``.
+
+Both tables charge the number of stored words against a budget, whatever
+their length or encoding, and stop with ``BudgetExceeded`` at the first cell
+that takes the total past it, not after the row.  The suffix table builds,
+and charges, only the cells that can reach its answer cell.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET, NotAScatteredFactor
@@ -48,6 +55,45 @@ class ComplementSet:
         return sum(self.multiplicities.values())
 
 
+# --- cell keys --------------------------------------------------------------
+#
+# The kernels below take w as `ct`, the tuple of its letters' chunks, and a
+# row letter as its chunk; `_codec` gives the chunk of a letter and decodes a
+# key.  Width-1 chunks come from a table of the 256 one-byte strings, so
+# encoding costs no call per cell.
+
+_byte = tuple(bytes((c,)) for c in range(256)).__getitem__
+
+
+def _codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callable[[bytes], Word]]:
+    """(encode, decode) for keys over the letter codes in `codes`: encode
+    maps a letter to its chunk, decode maps a key back to its word."""
+    try:
+        bytes(codes)  # raises ValueError unless every code is in 0..255
+    except ValueError:
+        return _wide_codec(codes)
+    return _byte, Word
+
+
+def _wide_codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callable[[bytes], Word]]:
+    """`_codec` with chunks as wide as the widest code, two's complement
+    when a code is negative."""
+    lo, hi = min(codes), max(codes)
+    signed = lo < 0
+    width = (max(lo.bit_length(), hi.bit_length()) + signed + 7) // 8
+
+    def encode(a: int) -> bytes:
+        return a.to_bytes(width, "big", signed=signed)
+
+    def decode(key: bytes) -> Word:
+        return Word(
+            int.from_bytes(key[i : i + width], "big", signed=signed)
+            for i in range(0, len(key), width)
+        )
+
+    return encode, decode
+
+
 # --- prefix-table recurrence ------------------------------------------------
 #
 # Rows are indexed by prefixes of u, columns by prefixes of w, with a virtual
@@ -56,29 +102,29 @@ class ComplementSet:
 # and where w[j] = x it also absorbs the parent row's cell (p consumed up to
 # j-1, so the shorter prefix's complements carry over unchanged).
 
-def _first_row(wt: tuple[int, ...]) -> list[set[tuple[int, ...]]]:
-    row: list[set[tuple[int, ...]]] = [{()}]
-    pref: tuple[int, ...] = ()
-    for a in wt:
-        pref += (a,)
+def _first_row(ct: tuple[bytes, ...]) -> list[set[bytes]]:
+    row: list[set[bytes]] = [{b""}]
+    pref = b""
+    for a in ct:
+        pref += a
         row.append({pref})
     return row
 
 
 def _extend_row(
-    wt: tuple[int, ...],
-    prev: list[set[tuple[int, ...]]],
-    letter: int,
+    ct: tuple[bytes, ...],
+    prev: list[set[bytes]],
+    letter: bytes,
     tracker: list[int],
     budget: int,
-) -> list[set[tuple[int, ...]]]:
-    row: list[set[tuple[int, ...]]] = [set()]
-    cur: set[tuple[int, ...]] = row[0]
+) -> list[set[bytes]]:
+    row: list[set[bytes]] = [set()]
+    cur: set[bytes] = row[0]
     room = budget - tracker[0]
-    for j, a in enumerate(wt, 1):
+    for j, a in enumerate(ct, 1):
         # an empty neighbour adds nothing; skipping its comprehension pays
         # for the per-cell budget check on small words
-        nxt = {v + (a,) for v in cur} if cur else set()
+        nxt = {v + a for v in cur} if cur else set()
         if a == letter:
             nxt |= prev[j - 1]
         row.append(nxt)
@@ -97,11 +143,13 @@ def complement_set(
     wt, ut = tuple(w), tuple(u)
     if not is_scattered_factor(ut, wt):
         raise NotAScatteredFactor(f"{Word(ut)!r} is not a scattered factor of {Word(wt)!r}")
+    enc, dec = _codec(wt)
+    ct = tuple(map(enc, wt))
     tracker = [0]
-    row = _first_row(wt)
+    row = _first_row(ct)
     for x in ut:
-        row = _extend_row(wt, row, x, tracker, budget)
-    return ComplementSet(frozenset(Word(t) for t in row[len(wt)]))
+        row = _extend_row(ct, row, enc(x), tracker, budget)
+    return ComplementSet(frozenset(map(dec, row[len(wt)])))
 
 
 class PrefixTable:
@@ -132,11 +180,13 @@ def complement_table(
 ) -> PrefixTable:
     """The whole prefix table, for inspection; no scattered-factor precondition."""
     wt, ut = tuple(w), tuple(u)
+    enc, dec = _codec(wt + ut)  # u may hold letters that w lacks
+    ct = tuple(map(enc, wt))
     tracker = [0]
-    raw = [_first_row(wt)]
+    raw = [_first_row(ct)]
     for x in ut:
-        raw.append(_extend_row(wt, raw[-1], x, tracker, budget))
-    cells = [[frozenset(Word(t) for t in c) for c in row] for row in raw]
+        raw.append(_extend_row(ct, raw[-1], enc(x), tracker, budget))
+    cells = [[frozenset(map(dec, c)) for c in row] for row in raw]
     return PrefixTable(Word(wt), Word(ut), cells)
 
 
@@ -155,30 +205,32 @@ def complement_table(
 # stay empty (Baeza-Yates, "Searching subsequences", TCS 1991).  With the
 # default lo = 1 the whole row is built.
 
-def _last_row(wt: tuple[int, ...]) -> list[dict[tuple[int, ...], int]]:
-    n = len(wt)
-    row: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 2)]
-    row[n + 1] = {(): 1}
+def _last_row(ct: tuple[bytes, ...]) -> list[dict[bytes, int]]:
+    n = len(ct)
+    row: list[dict[bytes, int]] = [{} for _ in range(n + 2)]
+    suf = b""
+    row[n + 1] = {suf: 1}
     for j in range(n, 0, -1):
-        row[j] = {wt[j - 1 :]: 1}
+        suf = ct[j - 1] + suf
+        row[j] = {suf: 1}
     return row
 
 
 def _extend_suffix_row(
-    wt: tuple[int, ...],
-    prev: list[dict[tuple[int, ...], int]],
-    letter: int,
+    ct: tuple[bytes, ...],
+    prev: list[dict[bytes, int]],
+    letter: bytes,
     tracker: list[int],
     budget: int,
     lo: int = 1,
-) -> list[dict[tuple[int, ...], int]]:
-    n = len(wt)
-    row: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 2)]
+) -> list[dict[bytes, int]]:
+    n = len(ct)
+    row: list[dict[bytes, int]] = [{} for _ in range(n + 2)]
     room = budget - tracker[0]
     for j in range(n, lo - 1, -1):
-        a = wt[j - 1]
+        a = ct[j - 1]
         right = row[j + 1]
-        cell = {(a,) + v: c for v, c in right.items()} if right else {}
+        cell = {a + v: c for v, c in right.items()} if right else {}
         if a == letter:
             for v, c in prev[j + 1].items():
                 cell[v] = cell.get(v, 0) + c
@@ -201,9 +253,11 @@ def complement_set_with_multiplicity(
     first = [0]
     for x in ut:
         first.append(wt.index(x, first[-1]) + 1)
+    enc, dec = _codec(wt)
+    ct = tuple(map(enc, wt))
     tracker = [0]
-    row = _last_row(wt)
+    row = _last_row(ct)
     for i in reversed(range(len(ut))):
-        row = _extend_suffix_row(wt, row, ut[i], tracker, budget, first[i] + 1)
-    mult = {Word(t): c for t, c in row[1].items()}
+        row = _extend_suffix_row(ct, row, enc(ut[i]), tracker, budget, first[i] + 1)
+    mult = {dec(t): c for t, c in row[1].items()}
     return ComplementSet(frozenset(mult), mult)

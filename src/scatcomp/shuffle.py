@@ -20,30 +20,33 @@ def shuffle_set(u: Sequence[int], v: Sequence[int], budget: int = DEFAULT_BUDGET
     """All interleavings of u and v.
 
     Built bottom-up one row at a time: cell j of row i holds the
-    interleavings of u[i:] and v[j:].  `budget` caps the entries summed over
-    every cell the result is built from (the corner cell of two empty
-    suffixes is never needed unless u and v are both empty).
+    interleavings of u[i:] and v[j:], each |u| - i + |v| - j letters long.
+    `budget` caps the letters stored, summed over every cell the result is
+    built from (the corner cell of two empty suffixes is never needed unless
+    u and v are both empty), so it bounds the copying and the memory, which
+    grow with the words' length as well as their number.
     """
     u, v = tuple(u), tuple(v)
     m, k = len(u), len(v)
     stored = 0
 
-    def keep(cell: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    def keep(cell: set[tuple[int, ...]], length: int) -> set[tuple[int, ...]]:
         nonlocal stored
-        stored += len(cell)
+        stored += len(cell) * length
         if stored > budget:
             raise BudgetExceeded(f"shuffle set storage exceeds budget {budget}")
         return cell
 
     if not (m and k):
-        return {Word(t) for t in keep({u + v})}
-    row = [keep({v[j:]}) for j in range(k)]
+        return {Word(t) for t in keep({u + v}, m + k)}
+    row = [keep({v[j:]}, k - j) for j in range(k)]
     for i in range(m - 1, -1, -1):
         a = u[i]
-        nxt = [set()] * k + [keep({u[i:]})]
+        nxt = [set()] * k + [keep({u[i:]}, m - i)]
         for j in range(k - 1, -1, -1):
             b = v[j]
-            nxt[j] = keep({(a,) + s for s in row[j]} | {(b,) + s for s in nxt[j + 1]})
+            cell = {(a,) + s for s in row[j]} | {(b,) + s for s in nxt[j + 1]}
+            nxt[j] = keep(cell, m - i + k - j)
         row = nxt
     return {Word(t) for t in row[0]}
 

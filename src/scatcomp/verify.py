@@ -124,11 +124,13 @@ def _ck_prefix_alg(lab: _Lab, reports) -> None:
     rep = reports.get("complement-prefix")
     lrep = reports.get("length-uniformity")
     wt, n, census = lab.wt, lab.n, lab.census
+    enc, dec = _c._codec(wt)
+    ct = tuple(map(enc, wt))
     tracker = [0]
     alpha = sorted(set(wt))
 
     def rec(u: tuple[int, ...], row) -> None:
-        final = row[n]
+        final = set(map(dec, row[n]))
         if rep is not None:
             rep.checked += 1
             if final != census[u].keys():
@@ -136,14 +138,14 @@ def _ck_prefix_alg(lab: _Lab, reports) -> None:
         if lrep is not None:
             lrep.checked += 1
             k = n - len(u)
-            if any(len(v) != k for v in final):
+            if any(map(k.__ne__, map(len, final))):
                 lrep.flag(f"w={_fmt(wt)} u={_fmt(u)}: complement of wrong length")
         for a in alpha:
             child = u + (a,)
             if child in census:
-                rec(child, _c._extend_row(wt, row, a, tracker, _BIG))
+                rec(child, _c._extend_row(ct, row, enc(a), tracker, _BIG))
 
-    rec((), _c._first_row(wt))
+    rec((), _c._first_row(ct))
     if rep is not None and census:
         # spot-check the public entry point and the one-factor brute oracle
         # on a mid-sized factor (the census itself covers the rest)
@@ -161,6 +163,8 @@ def _ck_suffix_alg(lab: _Lab, reports) -> None:
     rep = reports.get("complement-suffix")
     mrep = reports.get("multiplicity-sum")
     wt, census = lab.wt, lab.census
+    enc, dec = _c._codec(wt)
+    ct = tuple(map(enc, wt))
     tracker = [0]
     alpha = sorted(set(wt))
 
@@ -168,7 +172,7 @@ def _ck_suffix_alg(lab: _Lab, reports) -> None:
         cell = row[1]
         if rep is not None:
             rep.checked += 1
-            if cell != census[s]:
+            if {dec(v): c for v, c in cell.items()} != census[s]:
                 rep.flag(f"w={_fmt(wt)} u={_fmt(s)}: suffix table disagrees with census")
         if mrep is not None:
             mrep.checked += 1
@@ -177,9 +181,9 @@ def _ck_suffix_alg(lab: _Lab, reports) -> None:
         for a in alpha:
             child = (a,) + s
             if child in census:
-                rec(child, _c._extend_suffix_row(wt, row, a, tracker, _BIG))
+                rec(child, _c._extend_suffix_row(ct, row, enc(a), tracker, _BIG))
 
-    rec((), _c._last_row(wt))
+    rec((), _c._last_row(ct))
     if rep is not None and census:
         keys = sorted(census)
         probe = keys[len(keys) // 2]

@@ -15,12 +15,12 @@ from .errors import WordSyntaxError
 
 
 class Word(tuple):
-    """Immutable word: a tuple of positive int letter codes."""
+    """Immutable word: a tuple of positive int letter codes, built like one.
+
+    Word has no Python-level ``__new__``, so tuple's constructor builds it
+    at C speed; the complement tables build one for every word they return."""
 
     __slots__ = ()
-
-    def __new__(cls, codes: Iterable[int] = ()) -> "Word":
-        return super().__new__(cls, codes)
 
     def at(self, i: int) -> int:
         """Letter code at 1-based position i."""

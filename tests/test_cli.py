@@ -162,6 +162,13 @@ def test_shuffle_of_a_long_word_ends_cleanly(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_shuffle_of_a_long_word_exceeds_the_default_budget(capsys, monkeypatch):
+    monkeypatch.delenv("SCATCOMP_BUDGET", raising=False)
+    code, _, err = run(capsys, "shuffle", "a" * 1200, "b", "--size-only")
+    assert code == 3
+    assert "Traceback" not in err
+
+
 def test_shuffle(capsys):
     code, out, _ = run(capsys, "shuffle", "ban", "ana", "--size-only")
     assert (code, out) == (0, "11\n")

@@ -174,3 +174,38 @@ def test_tables_stop_before_their_memory_grows():
         finally:
             tracemalloc.stop()
         assert peak < 200 * 2**20
+
+
+def test_tables_store_few_bytes_per_word():
+    # the |w| = 160 case again: at one byte per letter the tables peak at
+    # 11-18 MB before the budget stops them, a tuple per word took 44-79 MB
+    rng = random.Random(160)
+    w = tuple(rng.randint(1, 2) for _ in range(160))
+    for table in (complement_set, complement_set_with_multiplicity, complement_table):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                table(w, w[::4], budget=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, table.__name__
+
+
+def test_wide_letter_codes_against_brute_force():
+    # codes past one byte are stored in wider chunks; every width must
+    # decode to the same words as the brute-force route
+    codes = (1, 255, 256, 70000, 2**40)
+    rng = random.Random(40)
+    for _ in range(300):
+        alpha = rng.sample(codes, rng.randint(1, 3))
+        w = tuple(rng.choice(alpha) for _ in range(rng.randint(0, 9)))
+        u = tuple(w[p] for p in sorted(rng.sample(range(len(w)), rng.randint(0, len(w)))))
+        brute = brute_complement_set(w, u)
+        assert complement_set(w, u).words == brute.words
+        cs = complement_set_with_multiplicity(w, u)
+        assert dict(cs.multiplicities) == dict(brute.multiplicities)
+        table = complement_table(w, u)
+        for i in range(1, len(u) + 2):
+            for j in range(1, len(w) + 1):
+                assert table.cell(i, j) == brute_complement_set(w[:j], u[: i - 1]).words

@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -33,6 +34,21 @@ def test_shuffle_set_bounds_and_edges():
 def test_shuffle_budget():
     with pytest.raises(BudgetExceeded):
         shuffle_set(word("abcdefgh"), word("hgfedcba"), budget=100)
+
+
+def test_shuffle_budget_counts_letters():
+    # cells built for ab with c: {c}, {b}, {bc, cb}, {ab}, {abc, acb, cab}
+    assert len(shuffle_set(word("ab"), word("c"), budget=17)) == 3
+    with pytest.raises(BudgetExceeded):
+        shuffle_set(word("ab"), word("c"), budget=16)
+
+
+def test_shuffle_budget_stops_long_words_early():
+    # a^1200 with b stores only 722,000 words, but 3 * 10^8 letters
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        shuffle_set(word("a" * 1200), word("b"))
+    assert time.perf_counter() - start < 2
 
 
 def test_in_shuffle_agrees_with_the_set():
