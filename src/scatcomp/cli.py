@@ -4,7 +4,9 @@ Words are given positionally in letters a-z; sets of words come from files
 with one word per line (optional first line `#alphabet:<letters>`).  Every
 subcommand honors --json, which wraps the result in an envelope with timing
 and size counters.  Exit codes: 0 success or true, 1 no solution or false,
-2 usage or validation error, 3 enumeration budget exceeded.  The environment
+2 usage or validation error, 3 enumeration budget exceeded.  A failure never
+exits 1: RecursionError and MemoryError exit 3, and any other exception exits
+2 with "internal error: <Type>: <message>" on stderr.  The environment
 variable SCATCOMP_BUDGET overrides each function's enumeration cap.
 """
 
@@ -372,6 +374,12 @@ def main(argv=None) -> int:
         return 3
     except (ScatcompError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"resource limit exceeded: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # last resort: exit 1 would read as "no solution"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -4,11 +4,17 @@ The shuffle of u and v is every interleaving of the two; the perfect shuffle
 alternates their letters one by one.  A word u is its own complement inside a
 superword w of double length exactly when w lies in the shuffle of u with
 itself, which a single left-to-right scan with two cursors can decide.
+
+`in_shuffle` decides membership with a bit-parallel scan: the possible
+splits of each prefix of w are one int bitset, and each letter of w updates
+all of them with two masks and a shift (Allison & Dix, "A bit-string
+longest-common-subsequence algorithm", IPL 1986).  It is the reference the
+other tests here and the interleaving-frontier core of `disjoint_embed` are
+checked against, so it shares no code with either.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
@@ -64,21 +70,31 @@ def perfect_shuffle(u: Sequence[int], v: Sequence[int]) -> Word:
 
 
 def in_shuffle(w: Sequence[int], u: Sequence[int], v: Sequence[int]) -> bool:
-    """True iff w is an interleaving of u and v (quadratic table)."""
+    """True iff w is an interleaving of u and v.
+
+    Walks the quadratic split table one anti-diagonal per letter of w: after
+    t letters, bit i of `reach` says w[:t] splits into u[:i] and v[:t-i].
+    Letter a extends a split through u where u[i] == a (mask U[a], then shift
+    up by one) and through v where v[t-i] == a.  The second mask depends on
+    t, so v's positions of a are stored reversed, offset by one bit, and
+    shifted left by t and right by |v|.  The scan stops once no split is left.
+    """
     w, u, v = tuple(w), tuple(u), tuple(v)
     m, k = len(u), len(v)
-    if len(w) != m + k or Counter(w) != Counter(u) + Counter(v):
+    if len(w) != m + k or sorted(w) != sorted(u + v):
         return False
-    # row[j] = can w[:i+j] be split into u[:i] and v[:j]
-    row = [True] * (k + 1)
-    for j in range(1, k + 1):
-        row[j] = row[j - 1] and v[j - 1] == w[j - 1]
-    for i in range(1, m + 1):
-        row[0] = row[0] and u[i - 1] == w[i - 1]
-        for j in range(1, k + 1):
-            c = w[i + j - 1]
-            row[j] = (row[j] and u[i - 1] == c) or (row[j - 1] and v[j - 1] == c)
-    return row[k]
+    U: dict[int, int] = {}
+    for i, a in enumerate(u):
+        U[a] = U.get(a, 0) | 1 << i
+    V: dict[int, int] = {}  # bit k - j set where v[j] == a
+    for j, a in enumerate(v):
+        V[a] = V.get(a, 0) | 1 << (k - j)
+    reach = 1
+    for t, a in enumerate(w):
+        reach = ((reach & U.get(a, 0)) << 1) | (reach & (V.get(a, 0) << t) >> k)
+        if not reach:
+            return False
+    return reach >> m & 1 == 1
 
 
 def is_self_shuffle_complement(w: Sequence[int], u: Sequence[int]) -> bool:

@@ -247,3 +247,25 @@ def test_plain_and_json_results_agree(tmp_path, capsys):
             assert plain.splitlines()[0] == "|".join(result["arches"])
         else:
             assert plain.splitlines() == result
+
+
+def test_unexpected_exception_exits_two_without_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("scatcomp.cli.shuffle_set", broken)
+    code, out, err = run(capsys, "shuffle", "ab", "c")
+    assert code == 2
+    assert err.strip() == "internal error: RuntimeError: boom"
+    assert "Traceback" not in out + err
+
+
+def test_recursion_error_exits_three(monkeypatch, capsys):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("scatcomp.cli.shuffle_set", too_deep)
+    code, out, err = run(capsys, "--json", "shuffle", "ab", "c")
+    assert code == 3
+    assert "RecursionError" in err
+    assert "Traceback" not in out + err

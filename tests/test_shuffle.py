@@ -1,3 +1,4 @@
+import random
 import time
 from math import comb
 
@@ -57,6 +58,66 @@ def test_in_shuffle_agrees_with_the_set():
     assert all(in_shuffle(w, u, v) for w in members)
     assert not in_shuffle(word("nnabaa"), u, v)
     assert not in_shuffle(word("banan"), u, v)  # wrong length
+
+
+def _table_in_shuffle(w, u, v):
+    """Row-by-row split table: ok[j] = w[:i+j] splits into u[:i] and v[:j]."""
+    m, k = len(u), len(v)
+    if len(w) != m + k:
+        return False
+    ok = [True] * (k + 1)
+    for j in range(1, k + 1):
+        ok[j] = ok[j - 1] and v[j - 1] == w[j - 1]
+    for i in range(1, m + 1):
+        ok[0] = ok[0] and u[i - 1] == w[i - 1]
+        for j in range(1, k + 1):
+            c = w[i + j - 1]
+            ok[j] = (ok[j] and u[i - 1] == c) or (ok[j - 1] and v[j - 1] == c)
+    return ok[k]
+
+
+def test_in_shuffle_against_table_dp():
+    rng = random.Random(20261018)
+    codes = [1, 255, 256, 70000, 2**40]
+    answers = {True: 0, False: 0}
+    for trial in range(1200):
+        alphabet = rng.sample(codes, 1 if trial % 4 == 0 else rng.randint(2, 5))
+        n = rng.randint(0, 8) if trial % 2 else rng.randint(0, 200)
+        m = rng.choice((0, n, rng.randint(0, n)))
+        u = [rng.choice(alphabet) for _ in range(m)]
+        v = [rng.choice(alphabet) for _ in range(n - m)]
+        picks = [0] * m + [1] * (n - m)
+        rng.shuffle(picks)
+        rest = [iter(u), iter(v)]
+        w = [next(rest[p]) for p in picks]
+        partner = list(w)
+        if n > 1 and rng.random() < 0.5:
+            p = rng.randrange(n - 1)
+            partner[p], partner[p + 1] = partner[p + 1], partner[p]
+        elif n:
+            partner[rng.randrange(n)] = rng.choice(codes)
+        for x in (w, partner):
+            want = _table_in_shuffle(x, u, v)
+            assert in_shuffle(x, u, v) == want, (x, u, v)
+            if n <= 8:
+                assert (tuple(x) in shuffle_set(u, v)) == want, (x, u, v)
+            answers[want] += 1
+        assert _table_in_shuffle(w, u, v)
+    assert min(answers.values()) > 500, answers
+
+
+def test_in_shuffle_long_binary_words():
+    k = 5000
+    u = word("ab" * k)
+    cases = [
+        (word("ab" * (2 * k)), True),
+        (word("a" * (2 * k) + "b" * (2 * k)), False),
+        (word("ab" * (2 * k - 1) + "ba"), False),  # no split dies before letter 19,999
+    ]
+    for w, want in cases:
+        start = time.perf_counter()
+        assert in_shuffle(w, u, u) is want
+        assert time.perf_counter() - start < 2
 
 
 def test_perfect_shuffle():
