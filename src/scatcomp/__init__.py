@@ -15,7 +15,7 @@ from .complement import (
     complement_set_with_multiplicity,
     complement_table,
 )
-from .disjoint_embed import exists_word, find_w, reconstruct_word, shared_first_letters
+from .disjoint_embed import exists_word, find_w, reconstruct_word
 from .embeddings import (
     complement_of_embedding,
     count_embeddings,
@@ -104,7 +104,6 @@ __all__ = [
     "run_suite",
     "run_sweep",
     "self_shuffle_by_second_occurrence",
-    "shared_first_letters",
     "shuffle_set",
     "text",
     "universality_index",

@@ -6,8 +6,12 @@ subcommand honors --json, which wraps the result in an envelope with timing
 and size counters.  Exit codes: 0 success or true, 1 no solution or false,
 2 usage or validation error, 3 enumeration budget exceeded.  A failure never
 exits 1: RecursionError and MemoryError exit 3, and any other exception exits
-2 with "internal error: <Type>: <message>" on stderr.  The environment
-variable SCATCOMP_BUDGET overrides each function's enumeration cap.
+2 with "internal error: <Type>: <message>" on stderr.  With --json, exits 2
+and 3 also print an error envelope on stdout,
+{"error": {"type": <exception class>, "message": <text>}, "exit": <code>},
+next to the same stderr line; argparse usage errors stay plain text.  The
+environment variable SCATCOMP_BUDGET overrides each function's enumeration
+cap.
 """
 
 from __future__ import annotations
@@ -370,17 +374,23 @@ def main(argv=None) -> int:
     try:
         return out.close(args.fn(args, out))
     except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        return _fail(as_json, 3, exc, f"budget exceeded: {exc}")
     except (ScatcompError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(as_json, 2, exc, f"error: {exc}")
     except (RecursionError, MemoryError) as exc:
-        print(f"resource limit exceeded: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(as_json, 3, exc, f"resource limit exceeded: {type(exc).__name__}: {exc}")
     except Exception as exc:  # last resort: exit 1 would read as "no solution"
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(as_json, 2, exc, f"internal error: {type(exc).__name__}: {exc}")
+
+
+def _fail(as_json: bool, code: int, exc: BaseException, line: str) -> int:
+    """Report a failed call: `line` on stderr and, with --json, the error
+    envelope on stdout."""
+    print(line, file=sys.stderr)
+    if as_json:
+        envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}, "exit": code}
+        print(json.dumps(envelope, indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -11,19 +11,29 @@ Table cells store each word as a ``bytes`` key, one fixed-width big-endian
 chunk per letter code (one byte when every code is at most 255).  Extending a
 word by a letter is then one bytes concatenation, and hashing it for the
 cell's set or dict is a hash that bytes compute once and cache, where a tuple
-would copy, incref and rehash all |v| letters.  Only the cells a caller sees
-are decoded back to ``Word``.
+would copy, incref and rehash all |v| letters.
 
-Both tables charge the number of stored words against a budget, whatever
-their length or encoding, and stop with ``BudgetExceeded`` at the first cell
-that takes the total past it, not after the row.  The suffix table builds,
-and charges, only the cells that can reach its answer cell.
+In both recurrences a cell is its neighbour's words with one letter of w
+added, plus the parent row's words only where w holds the row letter.  So a
+row is stored lazily, as a shared base of words per cell and a bytes affix
+that every word of the cell carries: a column without the row letter reuses
+its neighbour's base and lengthens the affix, and a new base is built only
+where the row letter occurs.  Only the cells a caller reads are built in
+full and decoded back to ``Word``: the answer cell, or every cell of
+`complement_table`.
+
+Both tables charge each cell's word count against a budget, whatever the
+words' length or encoding and whether the cell is built or shared, and stop
+with ``BudgetExceeded`` at the first cell that takes the total past it, not
+after the row.  The suffix table builds, and charges, only the cells that can
+reach its answer cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET, NotAScatteredFactor
 from .words import Word, is_scattered_factor
@@ -94,6 +104,30 @@ def _wide_codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callabl
     return encode, decode
 
 
+# --- lazy rows ----------------------------------------------------------------
+#
+# A row is a pair of parallel lists (base, affix).  Prefix-table cell j is
+# {v + affix[j] for v in base[j]}, suffix-table cell j is
+# {affix[j] + v: c for v, c in base[j].items()}.  A base may be shared by
+# many cells and rows, so it is never changed once stored.
+
+_Row = tuple[list, list[bytes]]
+_NO_WORDS: frozenset[bytes] = frozenset()
+_NO_COUNTS: Mapping[bytes, int] = MappingProxyType({})
+
+
+def _prefix_cell(row: _Row, j: int) -> set[bytes]:
+    """Cell j of a prefix-table row, built."""
+    s = row[1][j]
+    return {v + s for v in row[0][j]}
+
+
+def _suffix_cell(row: _Row, j: int) -> dict[bytes, int]:
+    """Cell j of a suffix-table row, built."""
+    s = row[1][j]
+    return {s + v: c for v, c in row[0][j].items()}
+
+
 # --- prefix-table recurrence ------------------------------------------------
 #
 # Rows are indexed by prefixes of u, columns by prefixes of w, with a virtual
@@ -102,38 +136,47 @@ def _wide_codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callabl
 # and where w[j] = x it also absorbs the parent row's cell (p consumed up to
 # j-1, so the shorter prefix's complements carry over unchanged).
 
-def _first_row(ct: tuple[bytes, ...]) -> list[set[bytes]]:
-    row: list[set[bytes]] = [{b""}]
+def _first_row(ct: tuple[bytes, ...]) -> _Row:
+    affix = [b""]
     pref = b""
     for a in ct:
         pref += a
-        row.append({pref})
-    return row
+        affix.append(pref)
+    return [{b""}] * len(affix), affix
 
 
 def _extend_row(
     ct: tuple[bytes, ...],
-    prev: list[set[bytes]],
+    prev: _Row,
     letter: bytes,
     tracker: list[int],
     budget: int,
-) -> list[set[bytes]]:
-    row: list[set[bytes]] = [set()]
-    cur: set[bytes] = row[0]
+) -> _Row:
+    pbase, paffix = prev
+    base: list = [_NO_WORDS]
+    affix = [b""]
+    cur, s = _NO_WORDS, b""
     room = budget - tracker[0]
-    for j, a in enumerate(ct, 1):
-        # an empty neighbour adds nothing; skipping its comprehension pays
-        # for the per-cell budget check on small words
-        nxt = {v + a for v in cur} if cur else set()
-        if a == letter:
-            nxt |= prev[j - 1]
-        row.append(nxt)
-        room -= len(nxt)
+    for j, a in enumerate(ct):  # column j + 1, whose parent cell is column j
+        s += a
+        if a == letter and pbase[j]:
+            if not cur:
+                cur, s = pbase[j], paffix[j]
+            else:
+                cell = {v + s for v in cur}
+                p = paffix[j]
+                if p:
+                    cell.update([v + p for v in pbase[j]])
+                else:  # a built parent cell: union its set directly
+                    cell |= pbase[j]
+                cur, s = cell, b""
+        base.append(cur)
+        affix.append(s)
+        room -= len(cur)
         if room < 0:
             raise BudgetExceeded(f"prefix table exceeds budget {budget}")
-        cur = nxt
     tracker[0] = budget - room
-    return row
+    return base, affix
 
 
 def complement_set(
@@ -149,7 +192,7 @@ def complement_set(
     row = _first_row(ct)
     for x in ut:
         row = _extend_row(ct, row, enc(x), tracker, budget)
-    return ComplementSet(frozenset(map(dec, row[len(wt)])))
+    return ComplementSet(frozenset(map(dec, _prefix_cell(row, len(wt)))))
 
 
 class PrefixTable:
@@ -186,7 +229,9 @@ def complement_table(
     raw = [_first_row(ct)]
     for x in ut:
         raw.append(_extend_row(ct, raw[-1], enc(x), tracker, budget))
-    cells = [[frozenset(map(dec, c)) for c in row] for row in raw]
+    cells = [
+        [frozenset(map(dec, _prefix_cell(row, j))) for j in range(len(wt) + 1)] for row in raw
+    ]
     return PrefixTable(Word(wt), Word(ut), cells)
 
 
@@ -205,41 +250,50 @@ def complement_table(
 # stay empty (Baeza-Yates, "Searching subsequences", TCS 1991).  With the
 # default lo = 1 the whole row is built.
 
-def _last_row(ct: tuple[bytes, ...]) -> list[dict[bytes, int]]:
+def _last_row(ct: tuple[bytes, ...]) -> _Row:
     n = len(ct)
-    row: list[dict[bytes, int]] = [{} for _ in range(n + 2)]
+    affix = [b""] * (n + 2)
     suf = b""
-    row[n + 1] = {suf: 1}
     for j in range(n, 0, -1):
         suf = ct[j - 1] + suf
-        row[j] = {suf: 1}
-    return row
+        affix[j] = suf
+    return [_NO_COUNTS] + [{b"": 1}] * (n + 1), affix
 
 
 def _extend_suffix_row(
     ct: tuple[bytes, ...],
-    prev: list[dict[bytes, int]],
+    prev: _Row,
     letter: bytes,
     tracker: list[int],
     budget: int,
     lo: int = 1,
-) -> list[dict[bytes, int]]:
+) -> _Row:
+    pbase, paffix = prev
     n = len(ct)
-    row: list[dict[bytes, int]] = [{} for _ in range(n + 2)]
+    base: list = [_NO_COUNTS] * (n + 2)
+    affix = [b""] * (n + 2)
+    cur, s = _NO_COUNTS, b""
     room = budget - tracker[0]
-    for j in range(n, lo - 1, -1):
+    for j in range(n, lo - 1, -1):  # column j, whose parent cell is column j + 1
         a = ct[j - 1]
-        right = row[j + 1]
-        cell = {a + v: c for v, c in right.items()} if right else {}
-        if a == letter:
-            for v, c in prev[j + 1].items():
-                cell[v] = cell.get(v, 0) + c
-        row[j] = cell
-        room -= len(cell)
+        s = a + s
+        if a == letter and pbase[j + 1]:
+            if not cur:
+                cur, s = pbase[j + 1], paffix[j + 1]
+            else:
+                cell = {s + v: c for v, c in cur.items()}
+                get, p = cell.get, paffix[j + 1]
+                for v, c in pbase[j + 1].items():
+                    v = p + v
+                    cell[v] = get(v, 0) + c
+                cur, s = cell, b""
+        base[j] = cur
+        affix[j] = s
+        room -= len(cur)
         if room < 0:
             raise BudgetExceeded(f"suffix table exceeds budget {budget}")
     tracker[0] = budget - room
-    return row
+    return base, affix
 
 
 def complement_set_with_multiplicity(
@@ -259,5 +313,5 @@ def complement_set_with_multiplicity(
     row = _last_row(ct)
     for i in reversed(range(len(ut))):
         row = _extend_suffix_row(ct, row, enc(ut[i]), tracker, budget, first[i] + 1)
-    mult = {dec(t): c for t, c in row[1].items()}
+    mult = {dec(t): c for t, c in _suffix_cell(row, 1).items()}
     return ComplementSet(frozenset(mult), mult)

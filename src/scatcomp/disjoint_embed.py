@@ -30,24 +30,6 @@ from .words import Word
 WITNESS_BUDGET = 10**4
 
 
-def shared_first_letters(
-    pairs: Iterable[tuple[Sequence[int], Sequence[int]]]
-) -> set[int]:
-    """Letters usable as the next written letter: for each pair the first
-    letters of its nonempty suffixes, intersected across pairs."""
-    out: set[int] | None = None
-    for z, y in pairs:
-        s = set()
-        if len(z):
-            s.add(z[0])
-        if len(y):
-            s.add(y[0])
-        out = s if out is None else out & s
-    if out is None:
-        raise ValueError("need at least one pair")
-    return out
-
-
 def _pair_masks(v: tuple[int, ...], u: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """Letter -> (bitset of the positions of v holding it, the same for the
     reversed u); bit a of the second, shifted right by |u| - 1 - t, says

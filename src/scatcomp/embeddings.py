@@ -8,7 +8,7 @@ word of that embedding.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET
 from .words import Word
@@ -41,20 +41,28 @@ def enumerate_embeddings(
 
     Refuses inputs whose embedding count exceeds the budget.
     """
-    w, u = tuple(w), tuple(u)
     total = count_embeddings(w, u)
     if total > budget:
         raise BudgetExceeded(f"{total} embeddings exceed budget {budget}")
-    if not u:
-        return [()]
+    return list(_iter_embeddings(w, u, budget))
+
+
+def _iter_embeddings(w: Sequence[int], u: Sequence[int], budget: int) -> Iterator[Embedding]:
+    """The embeddings of u into w in lexicographic position order, one at a
+    time; raises BudgetExceeded when asked for one more than `budget`."""
+    w, u = tuple(w), tuple(u)
     n, m = len(w), len(u)
     occ: dict[int, list[int]] = {}
     for j, a in enumerate(w):
         occ.setdefault(a, []).append(j)
-    for a in u:
-        if a not in occ:
-            return []
-    out: list[Embedding] = []
+    if any(a not in occ for a in u):
+        return
+    if not u:
+        if budget < 1:
+            raise BudgetExceeded(f"more than {budget} embeddings")
+        yield ()
+        return
+    room = budget
     stack = [0] * m  # 0-based chosen positions
     i = 0
     nxt = 0  # smallest candidate position for u[i]
@@ -65,7 +73,10 @@ def enumerate_embeddings(
         while k < len(positions) and positions[k] + (m - i) <= n:
             stack[i] = positions[k]
             if i == m - 1:
-                out.append(tuple(p + 1 for p in stack))
+                room -= 1
+                if room < 0:
+                    raise BudgetExceeded(f"more than {budget} embeddings")
+                yield tuple(p + 1 for p in stack)
                 k += 1
             else:
                 i += 1
@@ -75,7 +86,6 @@ def enumerate_embeddings(
             i -= 1
             if i >= 0:
                 nxt = stack[i] + 1
-    return out
 
 
 def complement_of_embedding(w: Sequence[int], e: Sequence[int]) -> Word:

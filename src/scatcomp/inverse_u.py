@@ -1,10 +1,12 @@
 """Recovering the deleted word: given w and a set S of complement words, find
 u with S inside (or equal to) C(w, u).
 
-Any u whose complement set contains S must itself lie in the complement set
-of every member of S, so intersecting C(w, v) over v in S yields the full
-candidate set; each candidate is then confirmed or rejected by recomputing
-its complement set.
+v lies in C(w, u) exactly when w is an interleaving of u and v, a relation
+symmetric in u and v.  So every u whose complement set contains S lies in
+C(w, v0) for any v0 in S: one prefix table for v0 = min(S) lists the
+possible u, and a shuffle-membership test against each other member of S
+keeps the candidates.  Each candidate is then confirmed or rejected by
+recomputing its complement set.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections.abc import Iterable, Sequence
 
 from .complement import complement_set
 from .errors import DEFAULT_BUDGET, LengthMismatch, NotAScatteredFactor
+from .shuffle import in_shuffle
 from .words import Word, is_scattered_factor
 
 
@@ -33,15 +36,20 @@ def _checked_set(w, S) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
 def candidate_set(
     w: Sequence[int], S: Iterable[Sequence[int]], budget: int = DEFAULT_BUDGET
 ) -> frozenset[Word]:
-    """All u with S a subset of C(w, u): the intersection of C(w, v) over v in S."""
+    """All u with S a subset of C(w, u).
+
+    v is in C(w, u) exactly when w is an interleaving of u and v, so every
+    such u lies in C(w, v0) for v0 = min(S), and a word of that one table
+    is a candidate when w is also an interleaving of it and each other v of
+    S.  Only the v0 table is charged against `budget`, so BudgetExceeded
+    comes from that table alone.
+    """
     wt, vs = _checked_set(w, S)
-    comps = sorted((complement_set(wt, v, budget).words for v in set(vs)), key=len)
-    out = comps[0]
-    for c in comps[1:]:
-        out &= c
-        if not out:
-            break
-    return frozenset(out)
+    v0 = min(vs)
+    rest = set(vs) - {v0}
+    return frozenset(
+        u for u in complement_set(wt, v0, budget).words if all(in_shuffle(wt, u, v) for v in rest)
+    )
 
 
 def find_u(

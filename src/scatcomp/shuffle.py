@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
-from .embeddings import Embedding, enumerate_embeddings
+from .embeddings import Embedding, _iter_embeddings
 from .words import Word
 
 
@@ -193,6 +193,8 @@ def first_second_occurrence(
     pointwise, or None; |w| must be 2|v| for any pair to exist.
 
     e1 is the lexicographically least embedding admitting such a partner.
+    The embeddings are tried one at a time, so `budget` bounds the number
+    tried before the answer, not the number that exist.
     """
     w, v = tuple(w), tuple(v)
     n, m = len(w), len(v)
@@ -200,7 +202,7 @@ def first_second_occurrence(
         return None
     if m == 0:
         return ((), ())
-    for e1 in enumerate_embeddings(w, v, budget):
+    for e1 in _iter_embeddings(w, v, budget):
         used = set(e1)
         e2 = tuple(p for p in range(1, n + 1) if p not in used)
         if all(w[p - 1] == v[i] for i, p in enumerate(e2)) and all(

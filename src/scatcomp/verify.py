@@ -130,7 +130,7 @@ def _ck_prefix_alg(lab: _Lab, reports) -> None:
     alpha = sorted(set(wt))
 
     def rec(u: tuple[int, ...], row) -> None:
-        final = set(map(dec, row[n]))
+        final = set(map(dec, _c._prefix_cell(row, n)))
         if rep is not None:
             rep.checked += 1
             if final != census[u].keys():
@@ -169,7 +169,7 @@ def _ck_suffix_alg(lab: _Lab, reports) -> None:
     alpha = sorted(set(wt))
 
     def rec(s: tuple[int, ...], row) -> None:
-        cell = row[1]
+        cell = _c._suffix_cell(row, 1)
         if rep is not None:
             rep.checked += 1
             if {dec(v): c for v, c in cell.items()} != census[s]:

@@ -269,3 +269,23 @@ def test_recursion_error_exits_three(monkeypatch, capsys):
     assert code == 3
     assert "RecursionError" in err
     assert "Traceback" not in out + err
+
+
+def test_json_errors_print_an_envelope(capsys, monkeypatch):
+    code, out, err = run(capsys, "--json", "complement", "ananas", "zz")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert json.loads(out) == {
+        "error": {"type": "NotAScatteredFactor",
+                  "message": "word('zz') is not a scattered factor of word('ananas')"},
+        "exit": 2,
+    }
+    monkeypatch.setenv("SCATCOMP_BUDGET", "5")
+    code, out, err = run(capsys, "--json", "complement", "ananas", "as")
+    assert code == 3
+    assert err.startswith("budget exceeded: ")
+    env = json.loads(out)
+    assert env["exit"] == 3 and env["error"]["type"] == "BudgetExceeded"
+    # without --json stdout stays empty
+    code, out, _ = run(capsys, "complement", "ananas", "as")
+    assert (code, out) == (3, "")

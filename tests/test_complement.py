@@ -209,3 +209,53 @@ def test_wide_letter_codes_against_brute_force():
         for i in range(1, len(u) + 2):
             for j in range(1, len(w) + 1):
                 assert table.cell(i, j) == brute_complement_set(w[:j], u[: i - 1]).words
+
+
+def _runs_word(rng, alpha, max_n):
+    # blocks of one repeated letter, so that many columns of a row shift
+    # their neighbour's words without meeting the row letter
+    w = ()
+    while len(w) < max_n:
+        w += (rng.choice(alpha),) * rng.randint(1, 4)
+    return w[: rng.randint(0, max_n)]
+
+
+def test_lazy_cells_against_brute_force():
+    # every cell a caller can read: the answer cell of both tables and
+    # every cell of the prefix table, also for u with letters w lacks
+    codes = (1, 2, 3, 4, 255, 256, 70000, 2**40)
+    rng = random.Random(6)
+    for k in range(300):
+        alpha = rng.sample(codes, rng.randint(1, 4)) if k % 2 else [1, 2, 3, 4][: rng.randint(1, 4)]
+        w = _runs_word(rng, alpha, 10)
+        u = tuple(w[p] for p in sorted(rng.sample(range(len(w)), rng.randint(0, len(w)))))
+        brute = brute_complement_set(w, u)
+        assert complement_set(w, u).words == brute.words
+        cs = complement_set_with_multiplicity(w, u)
+        assert dict(cs.multiplicities) == dict(brute.multiplicities)
+        if k % 3 == 0:
+            u = tuple(rng.choice(alpha + [9]) for _ in range(rng.randint(0, 4)))
+        table = complement_table(w, u)
+        for i in range(1, len(u) + 2):
+            for j in range(1, len(w) + 1):
+                assert table.cell(i, j) == brute_complement_set(w[:j], u[: i - 1]).words
+
+
+def test_long_shift_runs_stay_small():
+    # a run of a letter that u lacks only shifts each cell's words, so a
+    # cell there shares its neighbour's words; copying them into every
+    # cell of the run peaked at 42 MB (prefix table, run after the head)
+    # and 27 MB (suffix table, run before it)
+    rng = random.Random(1)
+    head = tuple(rng.randint(1, 2) for _ in range(32))
+    run = (3,) * 150
+    u = head[::4]
+    for table, w in ((complement_set, head + run), (complement_set_with_multiplicity, run + head)):
+        tracemalloc.start()
+        try:
+            got = table(w, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 1039
+        assert peak < 6 * 2**20, table.__name__

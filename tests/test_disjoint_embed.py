@@ -9,7 +9,6 @@ from scatcomp.disjoint_embed import (
     exists_word,
     find_w,
     reconstruct_word,
-    shared_first_letters,
 )
 from scatcomp.errors import BudgetExceeded, LengthMismatch
 from scatcomp.oracle import brute_exists_word
@@ -64,17 +63,6 @@ def test_total_lengths_must_agree():
 def test_empty_pair_list_is_rejected():
     with pytest.raises(ValueError):
         exists_word([])
-    with pytest.raises(ValueError):
-        shared_first_letters([])
-
-
-def test_shared_first_letters():
-    pairs = [(word("ba"), word("ab")), (word("ab"), word("ba"))]
-    assert shared_first_letters(pairs) == {1, 2}
-    pairs = [(word("ab"), word("ba")), (word("ab"), word("aa"))]
-    assert shared_first_letters(pairs) == {1}
-    pairs = [(word("b"), word("")), (word("a"), word(""))]
-    assert shared_first_letters(pairs) == set()
 
 
 def test_empty_pair_of_empties():

@@ -218,3 +218,18 @@ def test_first_second_occurrence_partitions_and_dominates():
     assert all(p < q for p, q in zip(e1, e2))
     for e in (e1, e2):
         assert tuple(w[p - 1] for p in e) == tuple(v)
+
+
+def test_first_second_occurrence_stops_at_the_first_partner():
+    # a^24 has C(24, 12) = 2,704,156 embeddings of a^12, more than the
+    # default budget, but the first one already has its partner
+    w, v = word("a") * 24, word("a") * 12
+    assert first_second_occurrence(w, v) == (tuple(range(1, 13)), tuple(range(13, 25)))
+    assert first_second_occurrence(w, v, budget=1) is not None
+
+
+def test_first_second_occurrence_charges_each_embedding_tried():
+    # abba: both embeddings of ab leave ba, so both are tried
+    with pytest.raises(BudgetExceeded):
+        first_second_occurrence(word("abba"), word("ab"), budget=1)
+    assert first_second_occurrence(word("abba"), word("ab"), budget=2) is None
