@@ -207,7 +207,7 @@ def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
 def _cmd_exists_w(args, out: _Emit) -> int:
     pairs, alpha = _read_pairs(args.pairs)
     out.stats["set_size"] = len(pairs)
-    w = reconstruct_word(pairs)
+    w = reconstruct_word(pairs, **_budget_kwargs())
     out.result = None if w is None else alpha.decode(w)
     out.say("no solution" if w is None else alpha.decode(w))
     return 1 if w is None else 0

@@ -19,14 +19,19 @@ row is stored lazily, as a shared base of words per cell and a bytes affix
 that every word of the cell carries: a column without the row letter reuses
 its neighbour's base and lengthens the affix, and a new base is built only
 where the row letter occurs.  Only the cells a caller reads are built in
-full and decoded back to ``Word``: the answer cell, or every cell of
-`complement_table`.
+full and decoded back to ``Word``: the answer cell, or the cells of a
+`PrefixTable` as they are read.
 
 Both tables charge each cell's word count against a budget, whatever the
-words' length or encoding and whether the cell is built or shared, and stop
-with ``BudgetExceeded`` at the first cell that takes the total past it, not
-after the row.  The suffix table builds, and charges, only the cells that can
-reach its answer cell.
+words' length or encoding and whether the cell is built or shared, and raise
+``BudgetExceeded`` exactly when the total passes it.  Cells never shrink
+along a row: C(w[1..j+1], p) holds every word of C(w[1..j], p) with w[j+1]
+appended, and suffix-table cells grow the same way leftwards.  So a cell of
+k words with r cells left in its row, itself included, commits the row to at
+least k * r more words.  The tables charge that much where a cell grows and
+stop at the first cell where the overrun is certain, before building the
+rest of the row.  The suffix table builds, and charges, only the cells that
+can reach its answer cell.
 """
 
 from __future__ import annotations
@@ -156,10 +161,14 @@ def _extend_row(
     base: list = [_NO_WORDS]
     affix = [b""]
     cur, s = _NO_WORDS, b""
+    # Cells never shrink along a row, so a cell of k words charges k for
+    # itself and every cell right of it; a later cell charges only its growth.
     room = budget - tracker[0]
+    n = len(ct)
     for j, a in enumerate(ct):  # column j + 1, whose parent cell is column j
         s += a
         if a == letter and pbase[j]:
+            size = len(cur)
             if not cur:
                 cur, s = pbase[j], paffix[j]
             else:
@@ -170,11 +179,11 @@ def _extend_row(
                 else:  # a built parent cell: union its set directly
                     cell |= pbase[j]
                 cur, s = cell, b""
+            room -= (len(cur) - size) * (n - j)  # columns j + 1 to n
+            if room < 0:
+                raise BudgetExceeded(f"prefix table exceeds budget {budget}")
         base.append(cur)
         affix.append(s)
-        room -= len(cur)
-        if room < 0:
-            raise BudgetExceeded(f"prefix table exceeds budget {budget}")
     tracker[0] = budget - room
     return base, affix
 
@@ -196,26 +205,37 @@ def complement_set(
 
 
 class PrefixTable:
-    """Full prefix table P with P[i][j] = C(w[1..j], u[1..i-1]), 1-based."""
+    """Full prefix table P with P[i][j] = C(w[1..j], u[1..i-1]), 1-based.
 
-    def __init__(self, w: Word, u: Word, cells: list[list[frozenset[Word]]]):
+    The table keeps the lazy rows it was built from and decodes a cell only
+    when it is read, so holding the table costs no more than building it.
+    """
+
+    def __init__(self, w: Word, u: Word, rows: list[_Row], decode: Callable[[bytes], Word]):
         self.w = w
         self.u = u
-        self._cells = cells
+        self._rows = rows
+        self._decode = decode
+
+    def _cell(self, i: int, j: int) -> frozenset[Word]:
+        return frozenset(map(self._decode, _prefix_cell(self._rows[i - 1], j)))
 
     def cell(self, i: int, j: int) -> frozenset[Word]:
         """Row i in 1..|u|+1, column j in 1..|w|."""
         if not (1 <= i <= len(self.u) + 1 and 1 <= j <= len(self.w)):
             raise IndexError(f"cell ({i}, {j}) outside table")
-        return self._cells[i - 1][j]
+        return self._cell(i, j)
 
     @property
     def final(self) -> frozenset[Word]:
-        return self._cells[len(self.u)][len(self.w)]
+        return self._cell(len(self.u) + 1, len(self.w))
 
     def rows(self) -> list[list[frozenset[Word]]]:
         """All rows, each with the virtual empty-prefix column dropped."""
-        return [r[1:] for r in self._cells]
+        return [
+            [self._cell(i, j) for j in range(1, len(self.w) + 1)]
+            for i in range(1, len(self.u) + 2)
+        ]
 
 
 def complement_table(
@@ -226,13 +246,10 @@ def complement_table(
     enc, dec = _codec(wt + ut)  # u may hold letters that w lacks
     ct = tuple(map(enc, wt))
     tracker = [0]
-    raw = [_first_row(ct)]
+    rows = [_first_row(ct)]
     for x in ut:
-        raw.append(_extend_row(ct, raw[-1], enc(x), tracker, budget))
-    cells = [
-        [frozenset(map(dec, _prefix_cell(row, j))) for j in range(len(wt) + 1)] for row in raw
-    ]
-    return PrefixTable(Word(wt), Word(ut), cells)
+        rows.append(_extend_row(ct, rows[-1], enc(x), tracker, budget))
+    return PrefixTable(Word(wt), Word(ut), rows, dec)
 
 
 # --- suffix-matching recurrence with multiplicities -------------------------
@@ -273,11 +290,14 @@ def _extend_suffix_row(
     base: list = [_NO_COUNTS] * (n + 2)
     affix = [b""] * (n + 2)
     cur, s = _NO_COUNTS, b""
+    # Cells never shrink leftwards, so a cell of k words charges k for itself
+    # and every cell left of it down to lo; a later cell charges its growth.
     room = budget - tracker[0]
     for j in range(n, lo - 1, -1):  # column j, whose parent cell is column j + 1
         a = ct[j - 1]
         s = a + s
         if a == letter and pbase[j + 1]:
+            size = len(cur)
             if not cur:
                 cur, s = pbase[j + 1], paffix[j + 1]
             else:
@@ -287,11 +307,11 @@ def _extend_suffix_row(
                     v = p + v
                     cell[v] = get(v, 0) + c
                 cur, s = cell, b""
+            room -= (len(cur) - size) * (j - lo + 1)  # columns lo to j
+            if room < 0:
+                raise BudgetExceeded(f"suffix table exceeds budget {budget}")
         base[j] = cur
         affix[j] = s
-        room -= len(cur)
-        if room < 0:
-            raise BudgetExceeded(f"suffix table exceeds budget {budget}")
     tracker[0] = budget - room
     return base, affix
 

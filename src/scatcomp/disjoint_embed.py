@@ -7,14 +7,24 @@ first t letters of w, a pair's frontier is the set of values a such that
 those letters split into v_i[:a] and u_i[:t - a]; it is kept as a bitset, bit
 a standing for a.  Writing a letter x maps each frontier deterministically
 to its successor (a moves to a + 1 where v_i[a] = x, and stays where
-u_i[t - a] = x), so a search state is just the tuple of frontiers, one per
-distinct pair, and it is dead as soon as any frontier is empty.  A depth-first
+u_i[t - a] = x).  The frontiers of all distinct pairs are packed into one
+int, a lane of 2n + 1 bits per pair for pairs of total length n, so one
+letter is a few big-int operations whatever the number of pairs: with VM[x]
+marking x in each v_i and R[x] setting bit n - 1 - b of a lane where
+u_i[b] = x,
+
+    g = (f & VM[x]) << 1 | f & (R[x] >> (n - 1 - t)).
+
+The shift moves bits of one lane into the top half of its neighbour, where
+no frontier bit lies, so no mask is needed; a state is dead as soon as any
+lane is empty, which one addition tests for all lanes at once.  A depth-first
 search with an explicit stack tries letters in ascending order and remembers
 the (t, state) keys below which no witness exists, so it meets complete
 witnesses in lexicographic order and the first one is the least.  Pairs
 whose letter multisets differ have no witness and are rejected before the
 search; otherwise the state count can still grow exponentially with the
-number of pairs.
+number of pairs, so the search charges each state it pushes against a
+budget.
 """
 
 from __future__ import annotations
@@ -22,30 +32,19 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from .complement import complement_set
-from .errors import BudgetExceeded, LengthMismatch
+from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
 from .words import Word
 
 # find_w verifies each reconstructed witness with a full complement-set
 # computation, so its default exploration cap is far below DEFAULT_BUDGET.
 WITNESS_BUDGET = 10**4
 
-
-def _pair_masks(v: tuple[int, ...], u: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """Letter -> (bitset of the positions of v holding it, the same for the
-    reversed u); bit a of the second, shifted right by |u| - 1 - t, says
-    whether u[t - a] holds the letter."""
-    masks = {x: [0, 0] for x in v + u}
-    for i, x in enumerate(v):
-        masks[x][0] |= 1 << i
-    for i, x in enumerate(reversed(u)):
-        masks[x][1] |= 1 << i
-    return {x: tuple(m) for x, m in masks.items()}
+Pairs = Iterable[tuple[Sequence[int], Sequence[int]]]
 
 
-def _interleavings(
-    pairs: Iterable[tuple[Sequence[int], Sequence[int]]]
-) -> Iterator[Word]:
-    """Every word interleaving all pairs, in lexicographic order."""
+def _interleavings(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
+    """Every word interleaving all pairs, in lexicographic order; raises
+    BudgetExceeded when the search pushes more than `budget` states."""
     pairs = [(tuple(v), tuple(u)) for v, u in pairs]
     if not pairs:
         raise ValueError("need at least one pair")
@@ -57,41 +56,48 @@ def _interleavings(
         yield Word(())
         return
     # A witness spells every pair's letters exactly, so the letter multisets
-    # agree, and every letter tried below has masks in every pair.
+    # agree, and every letter tried below occurs in every pair.
     if len({tuple(sorted(v + u)) for v, u in pairs}) > 1:
         return
     # w interleaves (v, u) iff it interleaves (u, v), so both orders merge.
     distinct = dict.fromkeys(min(p, p[::-1]) for p in pairs)
-    tables = [(_pair_masks(v, u), len(u) - 1) for v, u in distinct]
-    letters = sorted(tables[0][0])
+    width = 2 * n + 1
+    vm = dict.fromkeys(pairs[0][0] + pairs[0][1], 0)
+    rm = vm.copy()
+    one = 0  # bit 0 of every lane: no letter of v written
+    for k, (v, u) in enumerate(distinct):
+        lane = k * width
+        one |= 1 << lane
+        for b, x in enumerate(v):
+            vm[x] |= 1 << lane + b
+        for b, x in enumerate(u):
+            rm[x] |= 1 << lane + n - 1 - b
+    low = one * ((1 << n + 1) - 1)  # per lane, every bit a frontier can hold
+    top = one << n + 1  # per lane, the carry out of a non-empty frontier
+    letters = [(x, vm[x], rm[x]) for x in sorted(vm)]
 
-    def step(state: tuple[int, ...], t: int, x: int) -> tuple[int, ...] | None:
-        out = []
-        for f, (masks, last) in zip(state, tables):
-            vm, rev = masks[x]
-            f = (f & vm) << 1 | f & (rev >> (last - t) if t <= last else rev << (t - last))
-            if not f:
-                return None
-            out.append(f)
-        return tuple(out)
-
-    dead: set[tuple[int, tuple[int, ...]]] = set()
+    room = budget
+    dead: set[tuple[int, int]] = set()
     prefix: list[int] = []
-    states = [(1,) * len(tables)]  # bit 0: no letter of v written
+    states = [one]
     alive = [False]  # whether a witness was met below each stacked state
     todo = [iter(letters)]
     while todo:
         t = len(prefix)
-        for x in todo[-1]:
-            nxt = step(states[-1], t, x)
-            if nxt is None or (t + 1, nxt) in dead:
+        f, s = states[-1], n - 1 - t
+        for x, vx, rx in todo[-1]:
+            g = (f & vx) << 1 | f & rx >> s
+            if (g + low) & top != top or (t + 1, g) in dead:
                 continue
             if t + 1 == n:
                 alive[-1] = True
                 yield Word(prefix + [x])
                 continue
+            room -= 1
+            if room < 0:
+                raise BudgetExceeded(f"frontier search exceeds budget {budget}")
             prefix.append(x)
-            states.append(nxt)
+            states.append(g)
             alive.append(False)
             todo.append(iter(letters))
             break
@@ -107,16 +113,16 @@ def _interleavings(
                 prefix.pop()
 
 
-def exists_word(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> bool:
-    """True iff some word interleaves every pair (v_i, u_i)."""
-    return reconstruct_word(pairs) is not None
+def exists_word(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff some word interleaves every pair (v_i, u_i); raises
+    BudgetExceeded when the search pushes more than `budget` states."""
+    return reconstruct_word(pairs, budget) is not None
 
 
-def reconstruct_word(
-    pairs: Iterable[tuple[Sequence[int], Sequence[int]]]
-) -> Word | None:
-    """Lexicographically least word interleaving every pair, or None."""
-    return next(_interleavings(pairs), None)
+def reconstruct_word(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> Word | None:
+    """Lexicographically least word interleaving every pair, or None; raises
+    BudgetExceeded when the search pushes more than `budget` states."""
+    return next(_interleavings(pairs, budget), None)
 
 
 def find_w(
@@ -130,7 +136,7 @@ def find_w(
     order and each is verified by recomputing its complement set; matching S
     as a subset does not guarantee equality, so verification can reject every
     witness even when witnesses exist.  At most `budget` witnesses are
-    verified.
+    verified; the search that yields them keeps its default state budget.
     """
     ut = tuple(u)
     vs = sorted({tuple(v) for v in S})

@@ -3,12 +3,23 @@
 An embedding is a strictly increasing tuple of 1-based positions of w that
 spell out u.  Deleting the embedded positions from w leaves the complement
 word of that embedding.
+
+`count_embeddings` runs the usual DP over prefixes of u, dp[i] counting the
+embeddings of u[:i] into the part of w scanned so far, with all of dp held
+in one int: dp[i] is lane i, wide enough for binom(|w|, min(|u|, |w| // 2)),
+the largest count any lane can reach.  A letter a of w adds lane i - 1 to
+lane i wherever u[i-1] = a, which for every i at once is one shift, one mask
+and one addition, `dp += (dp << width) & masks[a]`.  Each letter touches
+every lane, so counts past about 2^500 cost more limb work than updating
+only the matching lanes; `enumerate_embeddings` needs the count within its
+budget, and no caller comes near that range.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
+from math import comb
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET
 from .words import Word
@@ -19,19 +30,21 @@ Embedding = tuple[int, ...]
 def count_embeddings(w: Sequence[int], u: Sequence[int]) -> int:
     """Number of embeddings of u into w (0 when u is not a scattered factor)."""
     u = tuple(u)
-    m = len(u)
-    # at[a] = the i with u[i-1] == a, descending, so each dp[i - 1] read is
-    # still the count before the current letter of w
-    at: dict[int, list[int]] = {}
-    for i in range(m, 0, -1):
-        at.setdefault(u[i - 1], []).append(i)
-    # dp[i] = number of embeddings of u[:i] into the prefix scanned so far
-    dp = [0] * (m + 1)
-    dp[0] = 1
-    for a in w:
-        for i in at.get(a, ()):
-            dp[i] += dp[i - 1]
-    return dp[m]
+    m, n = len(u), len(w)
+    if m > n:
+        return 0
+    # dp[i] = number of embeddings of u[:i] into the prefix scanned so far,
+    # held in lane i of one int; no count exceeds binom(n, min(m, n // 2))
+    width = comb(n, min(m, n // 2)).bit_length() + 1
+    lane = (1 << width) - 1
+    # masks[a] covers the lanes i with u[i-1] == a, which add lane i - 1
+    masks: dict[int, int] = {}
+    for i, a in enumerate(u, 1):
+        masks[a] = masks.get(a, 0) | lane << i * width
+    dp = 1
+    for mask in filter(None, map(masks.get, w)):
+        dp += (dp << width) & mask
+    return dp >> m * width
 
 
 def enumerate_embeddings(

@@ -136,6 +136,23 @@ def test_exists_w_no_solution(tmp_path, capsys):
     assert (code, out) == (1, "no solution\n")
 
 
+def test_exists_w_honours_the_budget(tmp_path, capsys, monkeypatch):
+    # the frontier search pushes one state per letter of the shared head
+    head = "abc" * 10
+    f = tmp_path / "z.tsv"
+    f.write_text(f"{head}ab\t\n{head}ba\t\n")
+    monkeypatch.setenv("SCATCOMP_BUDGET", str(len(head) - 1))
+    code, out, err = run(capsys, "exists-w", "--pairs", str(f))
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: ")
+    code, out, _ = run(capsys, "--json", "exists-w", "--pairs", str(f))
+    env = json.loads(out)
+    assert code == env["exit"] == 3 and env["error"]["type"] == "BudgetExceeded"
+    monkeypatch.setenv("SCATCOMP_BUDGET", str(len(head)))
+    code, out, _ = run(capsys, "exists-w", "--pairs", str(f))
+    assert (code, out) == (1, "no solution\n")
+
+
 def test_exists_w_rejects_malformed_pairs(tmp_path, capsys):
     f = tmp_path / "z.tsv"
     f.write_text("ba ab\n")

@@ -11,7 +11,7 @@ from scatcomp.complement import (
 from scatcomp.embeddings import count_embeddings
 from scatcomp.errors import BudgetExceeded, NotAScatteredFactor
 from scatcomp.oracle import brute_complement_set
-from scatcomp.words import text, word
+from scatcomp.words import is_scattered_factor, text, word
 
 
 def words(*texts):
@@ -152,6 +152,25 @@ def test_prefix_budget_is_the_table_total():
         assert complement_set(w, u, budget=total).words == brute_complement_set(w, u).words
 
 
+def test_suffix_budget_is_the_live_total():
+    # the suffix table stores C(w[j-1:], u[i:]) for i < |u| and the live
+    # columns j, those with u[:i] a scattered factor of w[:j-1]; a call fits
+    # its budget exactly when the sum of their sizes does
+    rng = random.Random(5)
+    for _ in range(150):
+        w, u = _random_pair(rng, 9, rng.randint(1, 3), min_m=1)
+        total = sum(
+            len(brute_complement_set(w[j - 1 :], u[i:]))
+            for i in range(len(u))
+            for j in range(1, len(w) + 1)
+            if is_scattered_factor(u[:i], w[: j - 1])
+        )
+        with pytest.raises(BudgetExceeded):
+            complement_set_with_multiplicity(w, u, budget=total - 1)
+        cs = complement_set_with_multiplicity(w, u, budget=total)
+        assert dict(cs.multiplicities) == dict(brute_complement_set(w, u).multiplicities)
+
+
 def test_suffix_table_against_brute_force():
     rng = random.Random(4)
     for _ in range(400):
@@ -259,3 +278,21 @@ def test_long_shift_runs_stay_small():
             tracemalloc.stop()
         assert len(got) == 1039
         assert peak < 6 * 2**20, table.__name__
+
+
+def test_table_decodes_cells_when_read():
+    # the long shift run again: decoding every cell of the table up front
+    # took 3.9 s and peaked at 443 MB, holding the lazy rows takes little
+    rng = random.Random(1)
+    head = tuple(rng.randint(1, 2) for _ in range(32))
+    w, u = head + (3,) * 150, head[::4]
+    tracemalloc.start()
+    try:
+        table = complement_table(w, u)
+        final = table.final
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert final == complement_set(w, u).words
+    assert table.cell(len(u) + 1, len(w)) == final

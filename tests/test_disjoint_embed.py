@@ -1,11 +1,13 @@
 """Pairwise disjoint exhaustive embeddings: existence and reconstruction."""
 
 import random
+from itertools import islice, product
 
 import pytest
 
 from scatcomp.complement import complement_set
 from scatcomp.disjoint_embed import (
+    _interleavings,
     exists_word,
     find_w,
     reconstruct_word,
@@ -138,3 +140,61 @@ def test_long_inputs_need_no_recursion():
         got = reconstruct_word(pairs)
         assert got <= w and all(in_shuffle(got, v, u) for v, u in pairs)
 
+
+
+def _random_pairs(rng, sigma, n, k):
+    pairs = []
+    for _ in range(k):
+        if rng.random() < 0.6:  # a pair some hidden word interleaves
+            pairs.append(_split(rng, [rng.randint(1, sigma) for _ in range(n)]))
+        else:
+            m = rng.randint(0, n)
+            pairs.append((
+                Word(rng.randint(1, sigma) for _ in range(m)),
+                Word(rng.randint(1, sigma) for _ in range(n - m)),
+            ))
+    return pairs
+
+
+def test_every_witness_in_order_against_a_brute_scan():
+    # the whole ordered list, not just the first witness: the packed lanes
+    # must neither drop nor invent a branch anywhere in the search
+    rng = random.Random(77)
+    for _ in range(200):
+        sigma, n = rng.randint(1, 3), rng.randint(0, 7)
+        pairs = _random_pairs(rng, sigma, n, rng.randint(1, 3))
+        want = [
+            Word(w) for w in product(range(1, sigma + 1), repeat=n)
+            if all(in_shuffle(w, v, u) for v, u in pairs)
+        ]
+        assert list(_interleavings(pairs)) == want, pairs
+
+
+def test_wide_lanes_against_in_shuffle():
+    # n >= 40 puts each lane, and every lane boundary, past 64 bits
+    rng = random.Random(41)
+    for n in (40, 57, 90, 130):
+        for k in (1, 2, 4, 6):
+            w = Word(rng.randint(1, 2 + k % 2) for _ in range(n))
+            pairs = [_split(rng, w) for _ in range(k)]
+            got = list(islice(_interleavings(pairs), 25))
+            assert got and got[0] <= w
+            assert got == sorted(set(got))
+            assert all(in_shuffle(x, v, u) for x in got for v, u in pairs)
+            # a pair that w alone interleaves pins the answer to w
+            assert list(_interleavings(pairs + [(w, Word(()))])) == [w]
+
+
+def test_frontier_search_respects_its_budget():
+    # (x.ab, e) and (x.ba, e) agree on their letters, so the search runs: it
+    # pushes one state per letter of x and then fails on the last two
+    rng = random.Random(12)
+    for m in (1, 5, 60):
+        x = Word(rng.randint(1, 3) for _ in range(m))
+        pairs = [(x + word("ab"), Word(())), (x + word("ba"), Word(()))]
+        with pytest.raises(BudgetExceeded):
+            exists_word(pairs, budget=m - 1)
+        with pytest.raises(BudgetExceeded):
+            reconstruct_word(pairs, budget=m - 1)
+        assert exists_word(pairs, budget=m) is False
+        assert reconstruct_word(pairs, budget=m) is None

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -87,3 +88,42 @@ def test_letter_square_forces_equal_complements():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_embeddings(word("a") * 30, word("a") * 15, budget=1000)
+
+
+def _lane_dp(w, u):
+    # the textbook DP: dp[i] counts embeddings of u[:i] into the prefix of w
+    # read so far; i descends so that dp[i - 1] is still the old count
+    dp = [1] + [0] * len(u)
+    for a in w:
+        for i in range(len(u), 0, -1):
+            if u[i - 1] == a:
+                dp[i] += dp[i - 1]
+    return dp[-1]
+
+
+def test_packed_count_against_lane_dp():
+    # one int holds every dp[i]; the lanes must never carry into each other,
+    # for any letter codes, and lanes past 1,000 bits when |u| ~ |w| / 2
+    codes = (-5, 0, 1, 255, 256, 2**40)
+    rng = random.Random(7)
+    cases = []
+    for k in range(160):
+        alpha = rng.sample(codes, rng.randint(1, 4))
+        w = tuple(rng.choice(alpha) for _ in range(int(2 ** rng.uniform(0, 12))))
+        m = rng.randint(0, min(64, len(w)))
+        if k % 4 == 0:  # u longer than w
+            u = tuple(rng.choice(alpha) for _ in range(len(w) + rng.randint(1, 3)))
+        elif k % 4 == 1:  # letters w lacks
+            u = tuple(rng.choice(alpha + [7]) for _ in range(m))
+        else:  # a scattered factor of w
+            u = tuple(w[p] for p in sorted(rng.sample(range(len(w)), m)))
+        cases.append((w, u))
+    for n in (1030, 1100):
+        w = tuple(rng.choice((0, 2**40)) for _ in range(n))
+        u = tuple(w[p] for p in sorted(rng.sample(range(n), n // 2)))
+        assert comb(n, n // 2).bit_length() > 1000
+        cases.append((w, u))
+    for w, u in cases:
+        assert count_embeddings(w, u) == _lane_dp(w, u), (len(w), len(u))
+    assert count_embeddings((), ()) == 1
+    assert count_embeddings((), (1,)) == 0
