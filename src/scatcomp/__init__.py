@@ -41,7 +41,7 @@ from .shuffle import (
     self_shuffle_by_second_occurrence,
     shuffle_set,
 )
-from .verify import SuiteReport, available_suites, run_suite, run_sweep
+from .verify import SuiteReport, available_suites, run_suite, run_suites, run_sweep
 from .words import (
     Alphabet,
     Word,
@@ -102,6 +102,7 @@ __all__ = [
     "read_word_lines",
     "reconstruct_word",
     "run_suite",
+    "run_suites",
     "run_sweep",
     "self_shuffle_by_second_occurrence",
     "shuffle_set",

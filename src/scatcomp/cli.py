@@ -252,16 +252,12 @@ def _cmd_self_shuffle(args, out: _Emit) -> int:
 
 
 def _cmd_verify(args, out: _Emit) -> int:
-    if args.suite != "all" and args.suite not in verify_mod.available_suites():
-        raise ScatcompError(
-            f"unknown suite {args.suite!r}; available: all, "
-            + ", ".join(verify_mod.available_suites())
-        )
-    names = verify_mod.available_suites() if args.suite == "all" else [args.suite]
-    reports = [
-        verify_mod.run_suite(nm, max_len=args.max_len, sigma=args.sigma, seed=args.seed)
-        for nm in names
-    ]
+    names = verify_mod.available_suites()
+    if args.suite != "all":
+        if args.suite not in names:
+            raise ScatcompError(f"unknown suite {args.suite!r}; available: all, " + ", ".join(names))
+        names = [args.suite]
+    reports = verify_mod.run_suites(names, max_len=args.max_len, sigma=args.sigma, seed=args.seed)
     out.result = [
         {
             "name": r.name,

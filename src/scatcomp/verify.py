@@ -2,16 +2,20 @@
 
 Each suite checks one algorithm or one combinatorial property against an
 independent brute-force route over every small input, and reports the number
-of checks plus any violations.  All solver operations commute with letter
-relabelings (the randomized "equivariance" suite spot-checks exactly that),
-so the word sweeps enumerate one representative per relabeling class: words
-whose letters first occur in increasing code order.
+of checks plus any violations.  The registry `_SUITES` holds each suite's
+name, its checker or body, and its default max_len and sigma.  A sweep
+checker runs on every canonical word up to max_len (letters first occur in
+increasing code order: one word per relabeling class, which suffices because
+the solvers commute with relabelings, as the "equivariance" suite
+spot-checks) and reads the word's census from a shared `_Lab`.  A standalone
+body enumerates its own cases.  The one driver, `run_suites`, runs the sweep
+suites that share a (max_len, sigma) in one `run_sweep`, so `verify all`
+builds each census once per default scale.
 
-The suites pin the claims this library was built to test in their original
-form.  Four of them (two-arch-singleton, three-letter-nontrivial,
-modus-prefix-unique, second-occurrence-greedy) have genuine counterexamples,
-which the suites report rather than silently repairing; single-letter-run and
-selfshuffle-scan check the repaired forms that do hold.
+Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
+second-occurrence-greedy) pin claims with genuine counterexamples and report
+them rather than silently repairing; single-letter-run and selfshuffle-scan
+check the repaired forms that do hold.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
+from typing import Callable
 
 from . import complement as _c
 from .arch import arch_factorize
 from .complement import complement_set, complement_set_with_multiplicity
 from .disjoint_embed import exists_word, reconstruct_word
+from .errors import ScatcompError
 from .embeddings import count_embeddings, enumerate_embeddings
 from .inverse_u import find_u
 from .oracle import _complement_census, brute_all_scattered_factors, brute_complement_set, brute_exists_word
@@ -430,42 +436,15 @@ def _ck_recover(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: no verified recovery for C(w,u)")
 
 
-_SWEEP_SUITES: dict[str, tuple] = {
-    "complement-prefix": (_ck_prefix_alg, 9),
-    "length-uniformity": (_ck_prefix_alg, 9),
-    "complement-suffix": (_ck_suffix_alg, 9),
-    "multiplicity-sum": (_ck_suffix_alg, 9),
-    "complement-symmetry": (_ck_symmetry, 9),
-    "embedding-lower-bound": (_ck_embedding_bound, 9),
-    "universality-index": (_ck_universality, 10),
-    "two-arch-singleton": (_ck_two_arch, 9),
-    "single-letter-run": (_ck_single_letter_run, 9),
-    "first-letter-modus": (_ck_first_letter, 9),
-    "three-letter-nontrivial": (_ck_three_letter, 9),
-    "modus-prefix-unique": (_ck_modus_prefix, 9),
-    "squarefree-embeddings": (_ck_squarefree, 9),
-    "letter-square-free": (_ck_ls_char, 9),
-    "letter-square-usage": (_ck_ls_usage, 9),
-    "superword-scan": (_ck_superword, 8),
-    "recover-deleted": (_ck_recover, 8),
-}
-
-
 def run_sweep(names, max_len: int, sigma: int = 3) -> dict[str, SuiteReport]:
     """Run the named per-word checkers over all canonical words up to
     max_len, sharing the per-word census."""
     names = list(names)
-    unknown = [nm for nm in names if nm not in _SWEEP_SUITES]
+    unknown = [nm for nm in names if nm not in _SUITES or not _SUITES[nm].sweep]
     if unknown:
         raise KeyError(f"unknown sweep suites: {unknown}")
     reports = {nm: SuiteReport(nm) for nm in names}
-    fns = []
-    seen = set()
-    for nm in names:
-        fn = _SWEEP_SUITES[nm][0]
-        if fn not in seen:
-            seen.add(fn)
-            fns.append(fn)
+    fns = list(dict.fromkeys(_SUITES[nm].run for nm in names))
     timings = {fn: 0.0 for fn in fns}
     for n in range(max_len + 1):
         for wt in canonical_words(n, sigma):
@@ -475,25 +454,21 @@ def run_sweep(names, max_len: int, sigma: int = 3) -> dict[str, SuiteReport]:
                 fn(lab, reports)
                 timings[fn] += time.perf_counter() - t0
     for nm in names:
-        reports[nm].elapsed = timings[_SWEEP_SUITES[nm][0]]
+        reports[nm].elapsed = timings[_SUITES[nm].run]
     return reports
 
 
 # --- standalone suites -------------------------------------------------------
 
-def suite_pairwise_disjoint(max_len=None, sigma=None, seed=None) -> SuiteReport:
+def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """exists_word / reconstruct_word vs brute force for every instance with
-    at most two pairs and total pair length up to max_len (default 6).
+    at most two pairs and total pair length up to max_len.
 
     Pairs are normalized to v <= u, which loses nothing because a word
     interleaves (v, u) iff it interleaves (u, v); a deterministic sample of
     swapped instances is kept to exercise the solver on both orders.
     """
-    rep = SuiteReport("pairwise-disjoint")
-    t0 = time.perf_counter()
-    total = 6 if max_len is None else max_len
-    sigma = 3 if sigma is None else sigma
-    for n in range(total + 1):
+    for n in range(max_len + 1):
         wordlist = list(product(range(1, sigma + 1), repeat=n))
         admit: dict[tuple, int] = {}
         for wi, w in enumerate(wordlist):
@@ -522,10 +497,7 @@ def suite_pairwise_disjoint(max_len=None, sigma=None, seed=None) -> SuiteReport:
                     Z = [(p[1], p[0]), q]  # exercise the swapped orientation
                 rep.checked += 1
                 if exists_word(Z) != truth:
-                    rep.flag(
-                        f"Z={{({_fmt(p[0])},{_fmt(p[1])}), ({_fmt(q[0])},{_fmt(q[1])})}}: "
-                        f"solver={not truth} brute={truth}"
-                    )
+                    rep.flag(f"{_two_pairs(p, q)}: solver={not truth} brute={truth}")
                     continue
                 if (i * 7919 + j) % 997 == 0:
                     # anchor the bitmask sieve to the plain scanning oracle
@@ -533,76 +505,60 @@ def suite_pairwise_disjoint(max_len=None, sigma=None, seed=None) -> SuiteReport:
                     if (byscan is not None) != truth or (
                         truth and byscan != wordlist[_lowest_bit(inter)]
                     ):
-                        rep.flag(
-                            f"Z={{({_fmt(p[0])},{_fmt(p[1])}), ({_fmt(q[0])},{_fmt(q[1])})}}: "
-                            f"sieve disagrees with scanning oracle"
-                        )
+                        rep.flag(f"{_two_pairs(p, q)}: sieve disagrees with scanning oracle")
                 if truth and (i + j) % 4 == 0:
                     got = reconstruct_word(Z)
                     want = wordlist[_lowest_bit(inter)]
                     if got != want:
-                        rep.flag(
-                            f"Z={{({_fmt(p[0])},{_fmt(p[1])}), ({_fmt(q[0])},{_fmt(q[1])})}}: "
-                            f"reconstructed {got!r}, want {_fmt(want)}"
-                        )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                        rep.flag(f"{_two_pairs(p, q)}: reconstructed {got!r}, want {_fmt(want)}")
+
+
+def _two_pairs(p, q) -> str:
+    return f"Z={{({_fmt(p[0])},{_fmt(p[1])}), ({_fmt(q[0])},{_fmt(q[1])})}}"
 
 
 def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def suite_selfshuffle(max_len=None, sigma=None, seed=None) -> SuiteReport:
-    """Self-shuffle split-set scan vs shuffle-membership DP for every
-    canonical w up to max_len (default 10) and every u of length |w|/2.  The
-    DP is itself checked against plain interleaving enumeration by the
-    shuffle-membership suite."""
-    rep = SuiteReport("selfshuffle-scan")
-    t0 = time.perf_counter()
-    max_len = 10 if max_len is None else max_len
-    sigma = 3 if sigma is None else sigma
+def _half_cases(max_len: int, sigma: int):
+    """Every canonical w of even length up to max_len, with every u of
+    length |w|/2: the cases of the self-shuffle suites."""
     codes = range(1, sigma + 1)
     for n in range(0, max_len + 1, 2):
         for wt in canonical_words(n, sigma):
             for u in product(codes, repeat=n // 2):
-                rep.checked += 1
-                if is_self_shuffle_complement(wt, u) != in_shuffle(wt, u, u):
-                    rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: scan disagrees with dp")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                yield wt, u
 
 
-def suite_second_occurrence(max_len=None, sigma=None, seed=None) -> SuiteReport:
+def suite_selfshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
+    """Self-shuffle split-set scan vs shuffle-membership DP for every
+    canonical w up to max_len and every u of length |w|/2.  The DP is itself
+    checked against plain interleaving enumeration by the shuffle-membership
+    suite."""
+    for wt, u in _half_cases(max_len, sigma):
+        rep.checked += 1
+        if is_self_shuffle_complement(wt, u) != in_shuffle(wt, u, u):
+            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: scan disagrees with dp")
+
+
+def suite_second_occurrence(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """Pins the claim that a greedy second occurrence decides self-shuffle
     membership.  The claim has genuine counterexamples (aabaab with aab) that
     this suite reports; the split-set scan is the working test."""
-    rep = SuiteReport("second-occurrence-greedy")
-    t0 = time.perf_counter()
-    max_len = 8 if max_len is None else max_len
-    sigma = 3 if sigma is None else sigma
-    codes = range(1, sigma + 1)
-    for n in range(0, max_len + 1, 2):
-        for wt in canonical_words(n, sigma):
-            for u in product(codes, repeat=n // 2):
-                rep.checked += 1
-                if self_shuffle_by_second_occurrence(wt, u) != in_shuffle(wt, u, u):
-                    rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: greedy disagrees with dp")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    for wt, u in _half_cases(max_len, sigma):
+        rep.checked += 1
+        if self_shuffle_by_second_occurrence(wt, u) != in_shuffle(wt, u, u):
+            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: greedy disagrees with dp")
 
 
-def suite_perfectshuffle(max_len=None, sigma=None, seed=None) -> SuiteReport:
+def suite_perfectshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """C(w,u) = {u} iff w is the perfect shuffle of u with itself.
 
-    Checked for every canonical u with 2|u| <= max_len (default 10) over all
-    w in the self-shuffle of u, then for |u| <= 3 over every w of length 2|u|
+    Checked for every canonical u with 2|u| <= max_len over all w in the
+    self-shuffle of u, then for |u| <= 3 over every w of length 2|u|
     containing u at all, which covers the words outside the self-shuffle.
     """
-    rep = SuiteReport("perfectshuffle")
-    t0 = time.perf_counter()
-    max_len = 10 if max_len is None else max_len
-    sigma = 3 if sigma is None else sigma
 
     def check(wt, ut):
         rep.checked += 1
@@ -619,50 +575,34 @@ def suite_perfectshuffle(max_len=None, sigma=None, seed=None) -> SuiteReport:
             for wt in product(range(1, sigma + 1), repeat=2 * m):
                 if is_scattered_factor(ut, wt):
                     check(wt, ut)
-    rep.elapsed = time.perf_counter() - t0
-    return rep
 
 
-def suite_first_second(max_len=None, sigma=None, seed=None) -> SuiteReport:
+def suite_first_second(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """first_second_occurrence finds a pointwise-ordered partition into two
-    copies of v exactly when w lies in the self-shuffle of v (default
-    |w| <= 8)."""
-    rep = SuiteReport("first-second-occurrence")
-    t0 = time.perf_counter()
-    max_len = 8 if max_len is None else max_len
-    sigma = 3 if sigma is None else sigma
-    codes = range(1, sigma + 1)
-    for n in range(0, max_len + 1, 2):
-        for wt in canonical_words(n, sigma):
-            for v in product(codes, repeat=n // 2):
-                rep.checked += 1
-                res = first_second_occurrence(wt, v)
-                if (res is not None) != in_shuffle(wt, v, v):
-                    rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: result={res} vs membership")
-                    continue
-                if res is None:
-                    continue
-                e1, e2 = res
-                ok = (
-                    sorted(e1 + e2) == list(range(1, n + 1))
-                    and all(wt[p - 1] == v[i] for i, p in enumerate(e1))
-                    and all(wt[p - 1] == v[i] for i, p in enumerate(e2))
-                    and all(p < q for p, q in zip(e1, e2))
-                )
-                if not ok:
-                    rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: bad pair {e1}/{e2}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    copies of v exactly when w lies in the self-shuffle of v."""
+    for wt, v in _half_cases(max_len, sigma):
+        rep.checked += 1
+        res = first_second_occurrence(wt, v)
+        if (res is not None) != in_shuffle(wt, v, v):
+            rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: result={res} vs membership")
+            continue
+        if res is None:
+            continue
+        e1, e2 = res
+        ok = (
+            sorted(e1 + e2) == list(range(1, len(wt) + 1))
+            and all(wt[p - 1] == v[i] for i, p in enumerate(e1))
+            and all(wt[p - 1] == v[i] for i, p in enumerate(e2))
+            and all(p < q for p, q in zip(e1, e2))
+        )
+        if not ok:
+            rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: bad pair {e1}/{e2}")
 
 
-def suite_shuffle_membership(max_len=None, sigma=None, seed=None) -> SuiteReport:
+def suite_shuffle_membership(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """in_shuffle vs explicit shuffle sets: every enumerated interleaving is
-    accepted (|u|+|v| <= max_len, default 7), and for |u|+|v| <= 5 a full
-    scan confirms nothing outside the set is accepted."""
-    rep = SuiteReport("shuffle-membership")
-    t0 = time.perf_counter()
-    max_len = 7 if max_len is None else max_len
-    sigma = 3 if sigma is None else sigma
+    accepted (|u|+|v| <= max_len), and for |u|+|v| <= 5 a full scan confirms
+    nothing outside the set is accepted."""
     codes = range(1, sigma + 1)
     for a in range(max_len + 1):
         for ut in canonical_words(a, sigma):
@@ -681,17 +621,14 @@ def suite_shuffle_membership(max_len=None, sigma=None, seed=None) -> SuiteReport
                             rep.checked += 1
                             if not in_shuffle(tuple(w), ut, vt):
                                 rep.flag(f"w={_fmt(w)} u={_fmt(ut)} v={_fmt(vt)}: rejected member")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
 
 
-def suite_repetition(max_len=None, sigma=None, seed=None) -> SuiteReport:
+def suite_repetition(rep: SuiteReport, max_len: int | None, sigma: int, seed: int) -> None:
     """If w = x y^k z and u = x' y z' with x', z' scattered factors of x and
-    z, then some complement word of u in w arises from at least k embeddings."""
-    rep = SuiteReport("repetition-classes")
-    t0 = time.perf_counter()
-    sigma = 2 if sigma is None else min(sigma, 3)
-    codes = range(1, sigma + 1)
+    z, then some complement word of u in w arises from at least k embeddings.
+    The word shapes are fixed (|x|, |z| <= 2, |y| <= 2, k <= 3), so max_len
+    is ignored, and sigma is capped at 3."""
+    codes = range(1, min(sigma, 3) + 1)
     sides = [t for L in range(3) for t in product(codes, repeat=L)]
     bases = [t for L in range(1, 3) for t in product(codes, repeat=L)]
 
@@ -719,20 +656,16 @@ def suite_repetition(max_len=None, sigma=None, seed=None) -> SuiteReport:
                                     f"w={_fmt(wt)} u={_fmt(ut)}: largest class "
                                     f"{max(mult.values())} < k={k}"
                                 )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
 
 
-def suite_equivariance(max_len=None, sigma=None, seed=None) -> SuiteReport:
+def suite_equivariance(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """All solvers commute with letter relabelings (randomized; this is the
-    fact that lets the exhaustive sweeps enumerate canonical words only)."""
-    rep = SuiteReport("equivariance")
-    t0 = time.perf_counter()
-    rng = random.Random(0 if seed is None else seed)
-    max_len = 10 if max_len is None else max_len
-    samples = 300
-    for _ in range(samples):
-        sig = rng.randint(2, 4 if sigma is None else sigma)
+    fact that lets the exhaustive sweeps enumerate canonical words only).
+    Each of the 300 samples draws its alphabet size from 2..sigma and its
+    word length from 1..max_len."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        sig = rng.randint(2, sigma)
         n = rng.randint(1, max_len)
         wt = tuple(rng.randint(1, sig) for _ in range(n))
         m = rng.randint(0, n)
@@ -773,31 +706,95 @@ def suite_equivariance(max_len=None, sigma=None, seed=None) -> SuiteReport:
             [(u, v) for v, u in pairs]
         ):
             rep.flag(f"Z={pairs}: existence not invariant under relabeling/swap")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
 
 
-_STANDALONE_SUITES = {
-    "pairwise-disjoint": suite_pairwise_disjoint,
-    "selfshuffle-scan": suite_selfshuffle,
-    "second-occurrence-greedy": suite_second_occurrence,
-    "perfectshuffle": suite_perfectshuffle,
-    "first-second-occurrence": suite_first_second,
-    "shuffle-membership": suite_shuffle_membership,
-    "repetition-classes": suite_repetition,
-    "equivariance": suite_equivariance,
-}
+# --- registry and driver -----------------------------------------------------
+
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: a sweep checker (lab, reports) sharing the per-word census,
+    or a standalone body (report, max_len, sigma, seed); its default scale;
+    and the least max_len and sigma it accepts."""
+
+    name: str
+    run: Callable
+    max_len: int | None  # None: the suite has fixed word shapes
+    sigma: int = 3
+    sweep: bool = True
+    min_len: int = 0
+    min_sigma: int = 1
+
+
+_SUITES = {s.name: s for s in (
+    _Suite("complement-prefix", _ck_prefix_alg, 9),
+    _Suite("length-uniformity", _ck_prefix_alg, 9),
+    _Suite("complement-suffix", _ck_suffix_alg, 9),
+    _Suite("multiplicity-sum", _ck_suffix_alg, 9),
+    _Suite("complement-symmetry", _ck_symmetry, 9),
+    _Suite("embedding-lower-bound", _ck_embedding_bound, 9),
+    _Suite("universality-index", _ck_universality, 10),
+    _Suite("two-arch-singleton", _ck_two_arch, 9),
+    _Suite("single-letter-run", _ck_single_letter_run, 9),
+    _Suite("first-letter-modus", _ck_first_letter, 9),
+    _Suite("three-letter-nontrivial", _ck_three_letter, 9),
+    _Suite("modus-prefix-unique", _ck_modus_prefix, 9),
+    _Suite("squarefree-embeddings", _ck_squarefree, 9),
+    _Suite("letter-square-free", _ck_ls_char, 9),
+    _Suite("letter-square-usage", _ck_ls_usage, 9),
+    _Suite("superword-scan", _ck_superword, 8),
+    _Suite("recover-deleted", _ck_recover, 8),
+    _Suite("pairwise-disjoint", suite_pairwise_disjoint, 6, sweep=False),
+    _Suite("selfshuffle-scan", suite_selfshuffle, 10, sweep=False),
+    _Suite("second-occurrence-greedy", suite_second_occurrence, 8, sweep=False),
+    _Suite("perfectshuffle", suite_perfectshuffle, 10, sweep=False),
+    _Suite("first-second-occurrence", suite_first_second, 8, sweep=False),
+    _Suite("shuffle-membership", suite_shuffle_membership, 7, sweep=False),
+    _Suite("repetition-classes", suite_repetition, None, sigma=2, sweep=False),
+    _Suite("equivariance", suite_equivariance, 10, sigma=4, sweep=False, min_len=1, min_sigma=2),
+)}
 
 
 def available_suites() -> list[str]:
-    return sorted(_SWEEP_SUITES) + sorted(_STANDALONE_SUITES)
+    """Sweep suites, then standalone suites, each in name order."""
+    return sorted(_SUITES, key=lambda nm: (not _SUITES[nm].sweep, nm))
+
+
+def run_suites(names, max_len=None, sigma=None, seed=None) -> list[SuiteReport]:
+    """Run the named suites, each at its default scale unless overridden, and
+    return their reports in the order of names.
+
+    Sweep suites that end up at the same (max_len, sigma) share one
+    run_sweep, so each word's census is built once for all of them; the
+    results equal those of one run per suite.  The randomized suite draws
+    from seed (default 0).
+    """
+    names = list(names)
+    scales = {}
+    for nm in names:
+        suite = _SUITES.get(nm)
+        if suite is None:
+            raise KeyError(f"unknown suite {nm!r}; available: {', '.join(available_suites())}")
+        if max_len is not None and max_len < suite.min_len:
+            raise ScatcompError(f"--max-len must be at least {suite.min_len} for {nm}, got {max_len}")
+        if sigma is not None and sigma < suite.min_sigma:
+            raise ScatcompError(f"--sigma must be at least {suite.min_sigma} for {nm}, got {sigma}")
+        scales[nm] = (suite.max_len if max_len is None else max_len,
+                      suite.sigma if sigma is None else sigma)
+    reports: dict[str, SuiteReport] = {}
+    groups: dict[tuple, list[str]] = {}
+    for nm, scale in scales.items():
+        if _SUITES[nm].sweep:
+            groups.setdefault(scale, []).append(nm)
+            continue
+        rep = reports[nm] = SuiteReport(nm)
+        t0 = time.perf_counter()
+        _SUITES[nm].run(rep, *scale, 0 if seed is None else seed)
+        rep.elapsed = time.perf_counter() - t0
+    for scale, group in groups.items():
+        reports.update(run_sweep(group, *scale))
+    return [reports[nm] for nm in names]
 
 
 def run_suite(name: str, max_len=None, sigma=None, seed=None) -> SuiteReport:
     """Run one named suite at its default scale unless overridden."""
-    if name in _SWEEP_SUITES:
-        _, dflt = _SWEEP_SUITES[name]
-        return run_sweep([name], dflt if max_len is None else max_len, sigma or 3)[name]
-    if name in _STANDALONE_SUITES:
-        return _STANDALONE_SUITES[name](max_len=max_len, sigma=sigma, seed=seed)
-    raise KeyError(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
+    return run_suites([name], max_len, sigma, seed)[0]

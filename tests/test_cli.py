@@ -3,6 +3,7 @@ import json
 import pytest
 
 from scatcomp.cli import main
+from scatcomp.verify import available_suites
 
 
 def run(capsys, *argv):
@@ -238,6 +239,36 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["selfshuffle-scan", "--max-len", "-3"], "--max-len"),
+        (["complement-prefix", "--sigma", "0", "--max-len", "3"], "--sigma"),
+        (["pairwise-disjoint", "--sigma", "0"], "--sigma"),
+        (["equivariance", "--sigma", "1"], "--sigma"),
+        (["equivariance", "--max-len", "0"], "--max-len"),
+    ],
+)
+def test_verify_rejects_out_of_range_scales(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be at least")
+
+
+def test_verify_all_matches_single_suites(capsys):
+    def entries(*argv):
+        code, out, _ = run(capsys, "--json", "verify", *argv, "--max-len", "4")
+        result = json.loads(out)["result"]
+        for entry in result:
+            del entry["elapsed_s"]
+        return code, result
+
+    code, every = entries("all")
+    assert code == 0
+    assert [e["name"] for e in every] == available_suites()
+    assert every == [entries(nm)[1][0] for nm in available_suites()]
 
 
 def test_verify_reports_failures_with_exit_one(capsys):

@@ -5,7 +5,7 @@ Full-scale runs live in the acceptance tests; these stay at small scales.
 
 import pytest
 
-from scatcomp.verify import available_suites, canonical_words, run_suite, run_sweep
+from scatcomp.verify import available_suites, canonical_words, run_suite, run_suites, run_sweep
 
 
 def test_registry_is_complete():
@@ -79,3 +79,30 @@ def test_seeded_suites_are_reproducible():
     assert a.checked == b.checked
     assert a.violations == b.violations
     assert a.ok and b.ok
+
+
+def _outcome(r):
+    return (r.name, r.checked, r.violations, r.overflow)
+
+
+def test_grouped_run_equals_one_run_per_suite():
+    names = available_suites()
+    grouped = run_suites(names, max_len=5)
+    assert list(map(_outcome, grouped)) == [_outcome(run_suite(nm, max_len=5)) for nm in names]
+    # default scales: superword-scan sweeps to length 8, the other two to 9
+    names = ["superword-scan", "squarefree-embeddings", "three-letter-nontrivial"]
+    grouped = run_suites(names)
+    assert list(map(_outcome, grouped)) == [_outcome(run_suite(nm)) for nm in names]
+
+
+def test_standalone_default_scales():
+    # counts at each suite's registry default (seed 0 for equivariance)
+    want = {
+        "repetition-classes": (4332, 0),
+        "perfectshuffle": (2146, 0),
+        "equivariance": (300, 0),
+        "second-occurrence-greedy": (92041, 17),
+    }
+    for nm, counts in want.items():
+        r = run_suite(nm)
+        assert (r.checked, len(r.violations) + r.overflow) == counts, nm
