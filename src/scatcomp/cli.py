@@ -30,7 +30,7 @@ from .embeddings import count_embeddings, enumerate_embeddings, group_equal_comp
 from .errors import BudgetExceeded, ScatcompError
 from .inverse_u import find_u, find_u_all
 from .shuffle import is_self_shuffle_complement, perfect_shuffle, shuffle_set
-from .words import Alphabet, read_word_lines, text, word
+from .words import Alphabet, read_numbered_lines, read_word_lines, text, word
 
 
 def _budget_kwargs() -> dict:
@@ -183,14 +183,9 @@ def _cmd_find_u(args, out: _Emit) -> int:
 
 def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
     """Tab-separated (v, u) pairs, one per line, under one shared codec."""
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    alpha = None
-    if lines and lines[0].startswith("#alphabet:"):
-        alpha = Alphabet(lines[0][len("#alphabet:") :].strip())
-        lines = lines[1:]
+    numbered, alpha = read_numbered_lines(path)
     rows = []
-    for lineno, line in enumerate(lines, 1 if alpha is None else 2):
+    for lineno, line in numbered:
         if not line:
             continue
         parts = line.split("\t")

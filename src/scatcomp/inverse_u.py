@@ -73,7 +73,7 @@ def find_u_all(
 
 
 def _verified_candidates(w, S, budget):
-    target = frozenset(Word(v) for v in S)
-    for u in sorted(candidate_set(w, S, budget)):
+    target = frozenset(Word(v) for v in S)  # S may be a one-shot iterator
+    for u in sorted(candidate_set(w, target, budget)):
         if complement_set(w, u, budget).words == target:
             yield u

@@ -3,14 +3,20 @@
 The shuffle of u and v is every interleaving of the two; the perfect shuffle
 alternates their letters one by one.  A word u is its own complement inside a
 superword w of double length exactly when w lies in the shuffle of u with
-itself, which a single left-to-right scan with two cursors can decide.
+itself.
 
 `in_shuffle` decides membership with a bit-parallel scan: the possible
 splits of each prefix of w are one int bitset, and each letter of w updates
 all of them with two masks and a shift (Allison & Dix, "A bit-string
-longest-common-subsequence algorithm", IPL 1986).  It is the reference the
-other tests here and the interleaving-frontier core of `disjoint_embed` are
-checked against, so it shares no code with either.
+longest-common-subsequence algorithm", IPL 1986).  It is the one scan that
+decides whether w splits into two given words: `is_self_shuffle_complement`
+is a call to it, `first_second_occurrence` asks it before enumerating
+anything, and `inverse_u.candidate_set` filters its candidates with it.
+`has_superword_complement` asks another question (whether a subsequence of
+w splits into two copies of u) and keeps its own scan.  `shuffle_set`, the
+enumeration `in_shuffle` is checked against, and `_interleavings`, the
+interleaving-frontier core of `disjoint_embed` that synthesizes words
+instead of deciding them, share no code with it.
 """
 
 from __future__ import annotations
@@ -103,27 +109,10 @@ def is_self_shuffle_complement(w: Sequence[int], u: Sequence[int]) -> bool:
 
     A single cursor pair cannot decide this in one pass whichever cursor has
     priority on a shared letter: in w = aabaab with u = aab the copy taking
-    position 2 is only known to be wrong in hindsight.  So the scan carries
-    all viable splits at once: after i letters, the set of prefix lengths one
-    copy may have consumed, the other copy holding the remaining i letters.
+    position 2 is only known to be wrong in hindsight.  So this asks
+    `in_shuffle`, which carries every viable split of each prefix at once.
     """
-    w, u = tuple(w), tuple(u)
-    m = len(u)
-    if len(w) != 2 * m:
-        return False
-    reach = {0}
-    for i, a in enumerate(w):
-        step = set()
-        for c1 in reach:
-            if c1 < m and u[c1] == a:
-                step.add(c1 + 1)
-            c2 = i - c1
-            if c2 < m and u[c2] == a:
-                step.add(c1)
-        if not step:
-            return False
-        reach = step
-    return m in reach
+    return in_shuffle(w, u, u)
 
 
 def self_shuffle_by_second_occurrence(w: Sequence[int], u: Sequence[int]) -> bool:
@@ -193,13 +182,16 @@ def first_second_occurrence(
     pointwise, or None; |w| must be 2|v| for any pair to exist.
 
     e1 is the lexicographically least embedding admitting such a partner.
-    The embeddings are tried one at a time, so `budget` bounds the number
-    tried before the answer, not the number that exist.
+    A pair exists exactly when w is in the shuffle of v with itself, since
+    any partition of w into two copies of v can be swapped letter by letter
+    into pointwise order; so `in_shuffle` answers None without enumerating
+    anything.  Otherwise the embeddings are tried one at a time, so `budget`
+    bounds the number tried before the answer, not the number that exist.
     """
     w, v = tuple(w), tuple(v)
-    n, m = len(w), len(v)
-    if n != 2 * m:
+    if not in_shuffle(w, v, v):
         return None
+    n, m = len(w), len(v)
     if m == 0:
         return ((), ())
     for e1 in _iter_embeddings(w, v, budget):

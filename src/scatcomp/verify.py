@@ -418,20 +418,18 @@ def _ck_superword(lab: _Lab, reports) -> None:
 
 
 def _ck_recover(lab: _Lab, reports) -> None:
-    """find_u(w, C(w,u)) returns a word whose complement set is exactly
-    C(w,u), for every scattered factor u."""
+    """find_u(w, C(w,u)) returns a word whose census row is exactly C(w,u),
+    for every scattered factor u."""
     rep = reports["recover-deleted"]
-    wt = lab.wt
+    wt, census = lab.wt, lab.census
     cache: dict[frozenset, bool] = {}
-    for u, per in lab.census.items():
+    for u, per in census.items():
         rep.checked += 1
         key = frozenset(per)
         hit = cache.get(key)
         if hit is None:
-            S = complement_set(wt, u, _BIG).words
-            got = find_u(wt, S, _BIG)
-            hit = got is not None and complement_set(wt, got, _BIG).words == S
-            cache[key] = hit
+            got = find_u(wt, key, _BIG)
+            hit = cache[key] = got is not None and census[got].keys() == per.keys()
         if not hit:
             rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: no verified recovery for C(w,u)")
 
@@ -532,20 +530,24 @@ def _half_cases(max_len: int, sigma: int):
 
 
 def suite_selfshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
-    """Self-shuffle split-set scan vs shuffle-membership DP for every
-    canonical w up to max_len and every u of length |w|/2.  The DP is itself
-    checked against plain interleaving enumeration by the shuffle-membership
-    suite."""
+    """Self-shuffle membership test vs the enumerated shuffle set of u with
+    itself, for every canonical w up to max_len and every u of length
+    |w|/2.  The enumeration is itself checked against in_shuffle by the
+    shuffle-membership suite."""
+    selfs: dict[tuple, set] = {}
     for wt, u in _half_cases(max_len, sigma):
         rep.checked += 1
-        if is_self_shuffle_complement(wt, u) != in_shuffle(wt, u, u):
-            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: scan disagrees with dp")
+        S = selfs.get(u)
+        if S is None:
+            S = selfs[u] = shuffle_set(u, u, _BIG)
+        if is_self_shuffle_complement(wt, u) != (wt in S):
+            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: scan disagrees with shuffle set")
 
 
 def suite_second_occurrence(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """Pins the claim that a greedy second occurrence decides self-shuffle
     membership.  The claim has genuine counterexamples (aabaab with aab) that
-    this suite reports; the split-set scan is the working test."""
+    this suite reports; `in_shuffle` is the working test."""
     for wt, u in _half_cases(max_len, sigma):
         rep.checked += 1
         if self_shuffle_by_second_occurrence(wt, u) != in_shuffle(wt, u, u):

@@ -166,22 +166,29 @@ def is_square_free(w: Sequence[int]) -> bool:
     return True
 
 
-def read_word_lines(path) -> tuple[list[str], Alphabet | None]:
-    """Raw lines of a word file plus its '#alphabet:<letters>' header, if any.
-
-    One word per line; an interior empty line denotes the empty word.  Lines
-    with stray whitespace are rejected with their line number.
-    """
+def read_numbered_lines(path) -> tuple[list[tuple[int, str]], Alphabet | None]:
+    """Lines of a word file with their line numbers in the file, plus its
+    '#alphabet:<letters>' header, if any; the header line is not returned."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     alphabet = None
     if lines and lines[0].startswith("#alphabet:"):
         alphabet = Alphabet(lines[0][len("#alphabet:") :].strip())
         lines = lines[1:]
-    for lineno, line in enumerate(lines, 1 if alphabet is None else 2):
+    return list(enumerate(lines, 1 if alphabet is None else 2)), alphabet
+
+
+def read_word_lines(path) -> tuple[list[str], Alphabet | None]:
+    """Raw lines of a word file plus its '#alphabet:<letters>' header, if any.
+
+    One word per line; an interior empty line denotes the empty word.  Lines
+    with stray whitespace are rejected with their line number.
+    """
+    numbered, alphabet = read_numbered_lines(path)
+    for lineno, line in numbered:
         if any(ch.isspace() for ch in line):
             raise WordSyntaxError(f"{path}:{lineno}: stray whitespace in {line!r}")
-    return lines, alphabet
+    return [line for _, line in numbered], alphabet
 
 
 def read_word_file(path) -> tuple[list[Word], Alphabet]:

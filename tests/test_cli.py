@@ -162,6 +162,14 @@ def test_exists_w_rejects_malformed_pairs(tmp_path, capsys):
     assert ":1:" in err
 
 
+def test_pair_file_header_counts_in_line_numbers(tmp_path, capsys):
+    f = tmp_path / "z.tsv"
+    f.write_text("#alphabet:ab\nba\tab\nba ab\n")
+    code, _, err = run(capsys, "exists-w", "--pairs", str(f))
+    assert code == 2
+    assert ":3:" in err
+
+
 def test_find_w(tmp_path, capsys):
     f = tmp_path / "s.txt"
     f.write_text("ba\n")

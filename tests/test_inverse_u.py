@@ -16,6 +16,12 @@ def test_recovers_deleted_word():
     assert find_u_all(word("ananas"), S) == [word("as")]
 
 
+def test_set_may_be_a_one_shot_iterator():
+    S = [word("anna"), word("nana"), word("anan")]
+    assert find_u(word("ananas"), iter(S)) == word("as")
+    assert find_u_all(word("ananas"), iter(S)) == [word("as")]
+
+
 def test_no_solution():
     assert find_u(word("ab"), [word("a"), word("b")]) is None
     assert find_u_all(word("ab"), [word("a"), word("b")]) == []

@@ -147,8 +147,9 @@ def test_self_shuffle_matches_in_shuffle_on_smalls():
 
     for m in range(4):
         for u in product((1, 2), repeat=m):
+            members = shuffle_set(u, u)
             for w in product((1, 2), repeat=2 * m):
-                assert is_self_shuffle_complement(w, u) == in_shuffle(w, u, u)
+                assert is_self_shuffle_complement(w, u) == (w in members)
 
 
 def test_second_occurrence_greedy_is_incomplete():
@@ -229,7 +230,19 @@ def test_first_second_occurrence_stops_at_the_first_partner():
 
 
 def test_first_second_occurrence_charges_each_embedding_tried():
-    # abba: both embeddings of ab leave ba, so both are tried
+    # ababaa: the first embedding of aba, positions 1,2,3, leaves baa, so
+    # the second, positions 1,2,5, is tried as well
     with pytest.raises(BudgetExceeded):
-        first_second_occurrence(word("abba"), word("ab"), budget=1)
-    assert first_second_occurrence(word("abba"), word("ab"), budget=2) is None
+        first_second_occurrence(word("ababaa"), word("aba"), budget=1)
+    got = first_second_occurrence(word("ababaa"), word("aba"), budget=2)
+    assert got == ((1, 2, 5), (3, 4, 6))
+    # abba is no interleaving of ab with itself, so nothing is tried
+    assert first_second_occurrence(word("abba"), word("ab"), budget=0) is None
+
+
+def test_first_second_occurrence_rejects_non_members_without_enumerating():
+    # b a^24 b has C(24, 12) = 2,704,156 embeddings of a^12 b, none with a partner
+    w, v = word("b") + word("a") * 24 + word("b"), word("a") * 12 + word("b")
+    t0 = time.perf_counter()
+    assert first_second_occurrence(w, v) is None
+    assert time.perf_counter() - t0 < 0.5
