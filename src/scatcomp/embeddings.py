@@ -12,13 +12,14 @@ lane i wherever u[i-1] = a, which for every i at once is one shift, one mask
 and one addition, `dp += (dp << width) & masks[a]`.  Each letter touches
 every lane, so counts past about 2^500 cost more limb work than updating
 only the matching lanes; `enumerate_embeddings` needs the count within its
-budget, and no caller comes near that range.
+budget before it lists any, and no caller comes near that range.
+`shuffle.first_second_occurrence` lists none; `in_shuffle` builds its pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from math import comb
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET
@@ -52,30 +53,20 @@ def enumerate_embeddings(
 ) -> list[Embedding]:
     """All embeddings of u into w in lexicographic position order.
 
-    Refuses inputs whose embedding count exceeds the budget.
+    Refuses inputs whose embedding count exceeds the budget before listing
+    any; the count alone answers an empty u and a u that does not embed.
     """
     total = count_embeddings(w, u)
     if total > budget:
         raise BudgetExceeded(f"{total} embeddings exceed budget {budget}")
-    return list(_iter_embeddings(w, u, budget))
-
-
-def _iter_embeddings(w: Sequence[int], u: Sequence[int], budget: int) -> Iterator[Embedding]:
-    """The embeddings of u into w in lexicographic position order, one at a
-    time; raises BudgetExceeded when asked for one more than `budget`."""
     w, u = tuple(w), tuple(u)
+    if not (total and u):
+        return [()] * total
     n, m = len(w), len(u)
     occ: dict[int, list[int]] = {}
     for j, a in enumerate(w):
         occ.setdefault(a, []).append(j)
-    if any(a not in occ for a in u):
-        return
-    if not u:
-        if budget < 1:
-            raise BudgetExceeded(f"more than {budget} embeddings")
-        yield ()
-        return
-    room = budget
+    out: list[Embedding] = []
     stack = [0] * m  # 0-based chosen positions
     i = 0
     nxt = 0  # smallest candidate position for u[i]
@@ -86,10 +77,7 @@ def _iter_embeddings(w: Sequence[int], u: Sequence[int], budget: int) -> Iterato
         while k < len(positions) and positions[k] + (m - i) <= n:
             stack[i] = positions[k]
             if i == m - 1:
-                room -= 1
-                if room < 0:
-                    raise BudgetExceeded(f"more than {budget} embeddings")
-                yield tuple(p + 1 for p in stack)
+                out.append(tuple(p + 1 for p in stack))
                 k += 1
             else:
                 i += 1
@@ -99,6 +87,7 @@ def _iter_embeddings(w: Sequence[int], u: Sequence[int], budget: int) -> Iterato
             i -= 1
             if i >= 0:
                 nxt = stack[i] + 1
+    return out
 
 
 def complement_of_embedding(w: Sequence[int], e: Sequence[int]) -> Word:

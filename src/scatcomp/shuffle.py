@@ -10,8 +10,9 @@ splits of each prefix of w are one int bitset, and each letter of w updates
 all of them with two masks and a shift (Allison & Dix, "A bit-string
 longest-common-subsequence algorithm", IPL 1986).  It is the one scan that
 decides whether w splits into two given words: `is_self_shuffle_complement`
-is a call to it, `first_second_occurrence` asks it before enumerating
-anything, and `inverse_u.candidate_set` filters its candidates with it.
+is a call to it, `first_second_occurrence` builds its pair position by
+position with it, and `inverse_u.candidate_set` filters its candidates
+with it.
 `has_superword_complement` asks another question (whether a subsequence of
 w splits into two copies of u) and keeps its own scan.  `shuffle_set`, the
 enumeration `in_shuffle` is checked against, and `_interleavings`, the
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
-from .embeddings import Embedding, _iter_embeddings
+from .embeddings import Embedding
 from .words import Word
 
 
@@ -176,29 +177,29 @@ def has_superword_complement(w: Sequence[int], u: Sequence[int]) -> bool:
 
 
 def first_second_occurrence(
-    w: Sequence[int], v: Sequence[int], budget: int = DEFAULT_BUDGET
+    w: Sequence[int], v: Sequence[int]
 ) -> tuple[Embedding, Embedding] | None:
     """Earliest pair of embeddings (e1, e2) of v partitioning w with e1 < e2
     pointwise, or None; |w| must be 2|v| for any pair to exist.
 
     e1 is the lexicographically least embedding admitting such a partner.
-    A pair exists exactly when w is in the shuffle of v with itself, since
-    any partition of w into two copies of v can be swapped letter by letter
-    into pointwise order; so `in_shuffle` answers None without enumerating
-    anything.  Otherwise the embeddings are tried one at a time, so `budget`
-    bounds the number tried before the answer, not the number that exist.
+    A pair exists exactly when w is in the shuffle of v with itself, so
+    `in_shuffle` answers None first.  Otherwise one pass over w gives each
+    position to e1 whenever the rest of w still splits into what the two
+    copies lack, and to e2 when not; that is the least e1, and `in_shuffle`
+    is asked at most |w| + 1 times.  The copies draw level only with equal
+    suffixes left, where e1 and e2 can swap roles, so e2 never takes a
+    position while level and stays pointwise behind e1.
     """
     w, v = tuple(w), tuple(v)
     if not in_shuffle(w, v, v):
         return None
-    n, m = len(w), len(v)
-    if m == 0:
-        return ((), ())
-    for e1 in _iter_embeddings(w, v, budget):
-        used = set(e1)
-        e2 = tuple(p for p in range(1, n + 1) if p not in used)
-        if all(w[p - 1] == v[i] for i, p in enumerate(e2)) and all(
-            p < q for p, q in zip(e1, e2)
-        ):
-            return (e1, e2)
-    return None
+    e1: list[int] = []
+    e2: list[int] = []
+    for t, a in enumerate(w):
+        i = len(e1)
+        if i < len(v) and a == v[i] and in_shuffle(w[t + 1:], v[i + 1:], v[len(e2):]):
+            e1.append(t + 1)
+        else:
+            e2.append(t + 1)
+    return tuple(e1), tuple(e2)

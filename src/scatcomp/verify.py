@@ -581,7 +581,8 @@ def suite_perfectshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) 
 
 def suite_first_second(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """first_second_occurrence finds a pointwise-ordered partition into two
-    copies of v exactly when w lies in the self-shuffle of v."""
+    copies of v exactly when w lies in the self-shuffle of v; the pair it
+    builds with in_shuffle is checked position by position."""
     for wt, v in _half_cases(max_len, sigma):
         rep.checked += 1
         res = first_second_occurrence(wt, v)

@@ -49,6 +49,7 @@ class Word(tuple):
 EMPTY = Word()
 
 _ORD_A = ord("a")
+_LETTER = {c: chr(_ORD_A + c - 1) for c in range(1, 27)}
 
 
 def word(s: str) -> Word:
@@ -65,8 +66,8 @@ def word(s: str) -> Word:
 def text(w: Sequence[int]) -> str:
     """Inverse of word(): render codes 1..26 as 'a'..'z'."""
     try:
-        return "".join(chr(_ORD_A + a - 1) for a in w)
-    except (TypeError, ValueError):
+        return "".join(_LETTER[a] for a in w)
+    except (KeyError, TypeError):
         raise WordSyntaxError(f"word {w!r} has codes outside 1..26")
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,22 @@ def test_complement_golden(capsys):
     code, out, _ = run(capsys, "complement", "ananas", "as")
     assert code == 0
     assert out == "anan\nanna\nnana\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "scatcomp", *argv], env=env, capture_output=True, text=True
+        )
+
+    done = run_module("complement", "ananas", "as")
+    assert (done.returncode, done.stdout) == (0, "anan\nanna\nnana\n")
+    done = run_module("self-shuffle", "aabbaa", "aab")
+    assert (done.returncode, done.stdout) == (1, "false\n")
 
 
 def test_complement_counts_are_tab_separated(capsys):

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -222,22 +223,19 @@ def test_first_second_occurrence_partitions_and_dominates():
 
 
 def test_first_second_occurrence_stops_at_the_first_partner():
-    # a^24 has C(24, 12) = 2,704,156 embeddings of a^12, more than the
-    # default budget, but the first one already has its partner
+    # a^24 has C(24, 12) = 2,704,156 embeddings of a^12; the pair is built
+    # without listing any of them
     w, v = word("a") * 24, word("a") * 12
     assert first_second_occurrence(w, v) == (tuple(range(1, 13)), tuple(range(13, 25)))
-    assert first_second_occurrence(w, v, budget=1) is not None
 
 
 def test_first_second_occurrence_charges_each_embedding_tried():
     # ababaa: the first embedding of aba, positions 1,2,3, leaves baa, so
-    # the second, positions 1,2,5, is tried as well
-    with pytest.raises(BudgetExceeded):
-        first_second_occurrence(word("ababaa"), word("aba"), budget=1)
-    got = first_second_occurrence(word("ababaa"), word("aba"), budget=2)
+    # e1 must pass over position 3 and take 5
+    got = first_second_occurrence(word("ababaa"), word("aba"))
     assert got == ((1, 2, 5), (3, 4, 6))
-    # abba is no interleaving of ab with itself, so nothing is tried
-    assert first_second_occurrence(word("abba"), word("ab"), budget=0) is None
+    # abba is no interleaving of ab with itself
+    assert first_second_occurrence(word("abba"), word("ab")) is None
 
 
 def test_first_second_occurrence_rejects_non_members_without_enumerating():
@@ -246,3 +244,38 @@ def test_first_second_occurrence_rejects_non_members_without_enumerating():
     t0 = time.perf_counter()
     assert first_second_occurrence(w, v) is None
     assert time.perf_counter() - t0 < 0.5
+
+
+def _brute_first_second(w, v):
+    n, m = len(w), len(v)
+    for e1 in combinations(range(1, n + 1), m):
+        e2 = tuple(p for p in range(1, n + 1) if p not in e1)
+        spelled = (tuple(w[p - 1] for p in e) == tuple(v) for e in (e1, e2))
+        if all(spelled) and all(p < q for p, q in zip(e1, e2)):
+            return (e1, e2)
+    return None
+
+
+def test_first_second_occurrence_matches_brute_force():
+    for n in range(0, 9, 2):
+        for wt in product((1, 2), repeat=n):
+            for v in product((1, 2), repeat=n // 2):
+                assert first_second_occurrence(wt, v) == _brute_first_second(wt, v), (wt, v)
+
+
+def test_first_second_occurrence_answers_long_members_fast():
+    # a random binary v of length 50 and a random interleaving of two copies
+    rng = random.Random(50)
+    v = tuple(rng.choice((1, 2)) for _ in range(50))
+    first = set(rng.sample(range(100), 50))
+    copies = [iter(v), iter(v)]
+    w = tuple(next(copies[p in first]) for p in range(100))
+    t0 = time.perf_counter()
+    got = first_second_occurrence(w, v)
+    assert time.perf_counter() - t0 < 0.5
+    assert got is not None
+    e1, e2 = got
+    assert sorted(e1 + e2) == list(range(1, 101))
+    assert all(p < q for p, q in zip(e1, e2))
+    for e in (e1, e2):
+        assert tuple(w[p - 1] for p in e) == v

@@ -22,6 +22,12 @@ def test_word_text_roundtrip():
     assert text(()) == ""
 
 
+def test_text_rejects_codes_outside_a_to_z():
+    for w in [(27,), (0,), (-1,), (1, 27), (0, 1), (-97,), (1, "a")]:
+        with pytest.raises(WordSyntaxError):
+            text(w)
+
+
 def test_word_rejects_non_letters():
     with pytest.raises(WordSyntaxError):
         word("ab1")
