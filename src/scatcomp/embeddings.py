@@ -13,7 +13,6 @@ and one addition, `dp += (dp << width) & masks[a]`.  Each letter touches
 every lane, so counts past about 2^500 cost more limb work than updating
 only the matching lanes; `enumerate_embeddings` needs the count within its
 budget before it lists any, and no caller comes near that range.
-`shuffle.first_second_occurrence` lists none; `in_shuffle` builds its pair.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ the solvers commute with relabelings, as the "equivariance" suite
 spot-checks) and reads the word's census from a shared `_Lab`.  A standalone
 body enumerates its own cases.  The one driver, `run_suites`, runs the sweep
 suites that share a (max_len, sigma) in one `run_sweep`, so `verify all`
-builds each census once per default scale.
+builds each census once per default scale.  The three self-shuffle suites
+share `_self_shuffle_cases`, whose truth never comes from `in_shuffle`.
 
 Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
 second-occurrence-greedy) pin claims with genuine counterexamples and report
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Callable
 
@@ -519,39 +520,50 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _half_cases(max_len: int, sigma: int):
-    """Every canonical w of even length up to max_len, with every u of
-    length |w|/2: the cases of the self-shuffle suites."""
+def _self_shuffle_cases(max_len: int, sigma: int):
+    """Every canonical w of even length up to max_len with every v of length
+    |w|/2, and their truth: the least pair (e1, e2) if w lies in the shuffle
+    set of v with itself (one set per v; shuffle-membership checks it against
+    in_shuffle), else None.  By brute force, e1 is the first in combinations
+    order whose complement e2 spells v and lies pointwise after it."""
     codes = range(1, sigma + 1)
+    selfs: dict[tuple, set] = {}
     for n in range(0, max_len + 1, 2):
+        spots = range(1, n + 1)
         for wt in canonical_words(n, sigma):
-            for u in product(codes, repeat=n // 2):
-                yield wt, u
+            for v in product(codes, repeat=n // 2):
+                if v not in selfs:
+                    selfs[v] = shuffle_set(v, v, _BIG)
+                least = None
+                if wt in selfs[v]:
+                    least = next(
+                        (e1, e2)
+                        for e1 in combinations(spots, n // 2)
+                        for e2 in [tuple(p for p in spots if p not in e1)]
+                        if all(wt[p - 1] == a for p, a in zip(e1 + e2, v + v))
+                        and all(p < q for p, q in zip(e1, e2))
+                    )
+                yield wt, v, least
 
 
 def suite_selfshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """Self-shuffle membership test vs the enumerated shuffle set of u with
-    itself, for every canonical w up to max_len and every u of length
-    |w|/2.  The enumeration is itself checked against in_shuffle by the
-    shuffle-membership suite."""
-    selfs: dict[tuple, set] = {}
-    for wt, u in _half_cases(max_len, sigma):
+    itself, for every canonical w up to max_len and every u of length |w|/2."""
+    for wt, u, least in _self_shuffle_cases(max_len, sigma):
         rep.checked += 1
-        S = selfs.get(u)
-        if S is None:
-            S = selfs[u] = shuffle_set(u, u, _BIG)
-        if is_self_shuffle_complement(wt, u) != (wt in S):
+        if is_self_shuffle_complement(wt, u) != (least is not None):
             rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: scan disagrees with shuffle set")
 
 
 def suite_second_occurrence(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """Pins the claim that a greedy second occurrence decides self-shuffle
-    membership.  The claim has genuine counterexamples (aabaab with aab) that
-    this suite reports; `in_shuffle` is the working test."""
-    for wt, u in _half_cases(max_len, sigma):
+    membership, against the enumerated shuffle set.  The claim has genuine
+    counterexamples (aabaab with aab) that this suite reports; `in_shuffle`
+    is the working test."""
+    for wt, u, least in _self_shuffle_cases(max_len, sigma):
         rep.checked += 1
-        if self_shuffle_by_second_occurrence(wt, u) != in_shuffle(wt, u, u):
-            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: greedy disagrees with dp")
+        if self_shuffle_by_second_occurrence(wt, u) != (least is not None):
+            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: greedy disagrees with shuffle set")
 
 
 def suite_perfectshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
@@ -580,26 +592,14 @@ def suite_perfectshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) 
 
 
 def suite_first_second(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
-    """first_second_occurrence finds a pointwise-ordered partition into two
-    copies of v exactly when w lies in the self-shuffle of v; the pair it
-    builds with in_shuffle is checked position by position."""
-    for wt, v in _half_cases(max_len, sigma):
+    """first_second_occurrence returns exactly the least pointwise-ordered
+    pair of embeddings of v partitioning w, found by brute force, when w lies
+    in the shuffle set of v with itself, and None otherwise."""
+    for wt, v, least in _self_shuffle_cases(max_len, sigma):
         rep.checked += 1
-        res = first_second_occurrence(wt, v)
-        if (res is not None) != in_shuffle(wt, v, v):
-            rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: result={res} vs membership")
-            continue
-        if res is None:
-            continue
-        e1, e2 = res
-        ok = (
-            sorted(e1 + e2) == list(range(1, len(wt) + 1))
-            and all(wt[p - 1] == v[i] for i, p in enumerate(e1))
-            and all(wt[p - 1] == v[i] for i, p in enumerate(e2))
-            and all(p < q for p, q in zip(e1, e2))
-        )
-        if not ok:
-            rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: bad pair {e1}/{e2}")
+        got = first_second_occurrence(wt, v)
+        if got != least:
+            rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: got {got}, want {least}")
 
 
 def suite_shuffle_membership(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:

@@ -128,6 +128,13 @@ def test_find_u_no_solution(tmp_path, capsys):
     assert (code, out) == (1, "no solution\n")
 
 
+def test_find_u_all_no_solution(tmp_path, capsys):
+    f = tmp_path / "s.txt"
+    f.write_text("a\nb\n")
+    code, out, _ = run(capsys, "find-u", "ab", "--set-file", str(f), "--all")
+    assert (code, out) == (1, "no solution\n")
+
+
 def test_find_u_rejects_malformed_file_with_line_number(tmp_path, capsys):
     f = tmp_path / "s.txt"
     f.write_text("ab\nb a\n")
@@ -180,6 +187,14 @@ def test_exists_w_rejects_malformed_pairs(tmp_path, capsys):
     code, _, err = run(capsys, "exists-w", "--pairs", str(f))
     assert code == 2
     assert ":1:" in err
+
+
+def test_exists_w_rejects_a_file_of_blank_lines(tmp_path, capsys):
+    f = tmp_path / "z.tsv"
+    f.write_text("\n\n")
+    code, out, err = run(capsys, "exists-w", "--pairs", str(f))
+    assert (code, out) == (2, "")
+    assert "no pairs" in err
 
 
 def test_pair_file_header_counts_in_line_numbers(tmp_path, capsys):

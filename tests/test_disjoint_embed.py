@@ -84,6 +84,13 @@ def test_find_w_none_when_every_witness_overshoots():
     assert find_w(word("ab"), [word("a"), word("b")]) is None
 
 
+def test_find_w_rejects_an_empty_set_and_mixed_lengths():
+    with pytest.raises(ValueError):
+        find_w(word("ab"), [])
+    with pytest.raises(LengthMismatch):
+        find_w(word("ab"), [word("a"), word("ba")])
+
+
 def test_find_w_respects_budget():
     # the first witness abab is rejected, so a second verification is needed
     with pytest.raises(BudgetExceeded):

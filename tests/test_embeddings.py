@@ -92,12 +92,15 @@ def test_enumeration_budget():
 
 def _lane_dp(w, u):
     # the textbook DP: dp[i] counts embeddings of u[:i] into the prefix of w
-    # read so far; i descends so that dp[i - 1] is still the old count
+    # read so far; letter a updates only the lanes i with u[i - 1] == a, and
+    # in descending order, so that dp[i - 1] is still the old count
+    lanes = {}
+    for i in range(len(u), 0, -1):
+        lanes.setdefault(u[i - 1], []).append(i)
     dp = [1] + [0] * len(u)
     for a in w:
-        for i in range(len(u), 0, -1):
-            if u[i - 1] == a:
-                dp[i] += dp[i - 1]
+        for i in lanes.get(a, ()):
+            dp[i] += dp[i - 1]
     return dp[-1]
 
 

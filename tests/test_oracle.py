@@ -69,6 +69,11 @@ def test_brute_exists_word_validation():
         brute_exists_word([(word("a"), word("a"))], range(1, 9))
 
 
+def test_brute_complement_subset_cap():
+    with pytest.raises(BudgetExceeded):
+        brute_complement_set(Word((1,)) * 40, Word((1,)) * 20)
+
+
 def test_brute_subset_cap():
     with pytest.raises(BudgetExceeded):
         brute_all_scattered_factors(Word((1,)) * 40, 20)

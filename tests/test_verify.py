@@ -3,8 +3,11 @@
 Full-scale runs live in the acceptance tests; these stay at small scales.
 """
 
+from itertools import combinations
+
 import pytest
 
+from scatcomp import verify
 from scatcomp.verify import available_suites, canonical_words, run_suite, run_suites, run_sweep
 
 
@@ -102,7 +105,28 @@ def test_standalone_default_scales():
         "perfectshuffle": (2146, 0),
         "equivariance": (300, 0),
         "second-occurrence-greedy": (92041, 17),
+        "first-second-occurrence": (92041, 0),
     }
     for nm, counts in want.items():
         r = run_suite(nm)
         assert (r.checked, len(r.violations) + r.overflow) == counts, nm
+
+
+def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):
+    # a valid pointwise-ordered pair is not enough: the suite compares with
+    # the least one, so returning the last valid pair must fail
+    def last_pair(w, v):
+        spots = range(1, len(w) + 1)
+        pairs = [
+            (e1, e2)
+            for e1 in combinations(spots, len(v))
+            for e2 in [tuple(p for p in spots if p not in e1)]
+            if all(w[p - 1] == a for p, a in zip(e1 + e2, tuple(v) * 2))
+            and all(p < q for p, q in zip(e1, e2))
+        ]
+        return pairs[-1] if pairs else None
+
+    monkeypatch.setattr(verify, "first_second_occurrence", last_pair)
+    r = run_suite("first-second-occurrence", max_len=6)
+    assert (r.checked, len(r.violations)) == (3427, 7)
+    assert "w=aaaa v=aa: got ((1, 3), (2, 4)), want ((1, 2), (3, 4))" in r.violations
