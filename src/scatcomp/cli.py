@@ -108,22 +108,23 @@ def _cmd_complement(args, out: _Emit) -> int:
 
 def _cmd_embed(args, out: _Emit) -> int:
     w, u = word(args.w), word(args.u)
-    n = count_embeddings(w, u)
-    out.stats["embeddings"] = n
     if args.count:
-        out.result = n
+        n = out.result = count_embeddings(w, u)
         out.say(str(n))
     elif args.group:
         groups = group_equal_complements(w, u, **_budget_kwargs())
+        n = sum(map(len, groups.values()))
         out.stats["set_size"] = len(groups)
         out.result = {text(v): len(es) for v, es in groups.items()}
         for v, es in groups.items():
             out.say(f"{text(v)}\t{len(es)}")
     else:
         embs = enumerate_embeddings(w, u, **_budget_kwargs())
+        n = len(embs)
         out.result = [list(e) for e in embs]
         for e in embs:
             out.say(",".join(map(str, e)))
+    out.stats["embeddings"] = n
     return 0 if n else 1
 
 

@@ -33,7 +33,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .complement import complement_set
 from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
-from .words import Word
+from .words import Word, _equal_length_words
 
 # find_w verifies each reconstructed witness with a full complement-set
 # computation, so its default exploration cap is far below DEFAULT_BUDGET.
@@ -80,7 +80,8 @@ def _interleavings(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> Iterator[Word]
     dead: set[tuple[int, int]] = set()
     prefix: list[int] = []
     states = [one]
-    alive = [False]  # whether a witness was met below each stacked state
+    # a popped state is dead exactly when no witness was yielded since its push
+    found, pushed = 0, [0]  # witnesses yielded; found at each stacked push
     todo = [iter(letters)]
     while todo:
         t = len(prefix)
@@ -90,7 +91,7 @@ def _interleavings(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> Iterator[Word]
             if (g + low) & top != top or (t + 1, g) in dead:
                 continue
             if t + 1 == n:
-                alive[-1] = True
+                found += 1
                 yield Word(prefix + [x])
                 continue
             room -= 1
@@ -98,16 +99,13 @@ def _interleavings(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> Iterator[Word]
                 raise BudgetExceeded(f"frontier search exceeds budget {budget}")
             prefix.append(x)
             states.append(g)
-            alive.append(False)
+            pushed.append(found)
             todo.append(iter(letters))
             break
         else:
             todo.pop()
             state = states.pop()
-            if alive.pop():
-                if alive:
-                    alive[-1] = True
-            else:
+            if pushed.pop() == found:
                 dead.add((t, state))
             if prefix:
                 prefix.pop()
@@ -139,12 +137,7 @@ def find_w(
     verified; the search that yields them keeps its default state budget.
     """
     ut = tuple(u)
-    vs = sorted({tuple(v) for v in S})
-    if not vs:
-        raise ValueError("S must contain at least one word")
-    lengths = {len(v) for v in vs}
-    if len(lengths) != 1:
-        raise LengthMismatch(f"words in S have different lengths: {sorted(lengths)}")
+    vs = sorted(set(_equal_length_words(S)))
     target = frozenset(Word(v) for v in vs)
     for explored, w in enumerate(_interleavings([(v, ut) for v in vs]), 1):
         if explored > budget:

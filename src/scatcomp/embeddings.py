@@ -13,11 +13,17 @@ and one addition, `dp += (dp << width) & masks[a]`.  Each letter touches
 every lane, so counts past about 2^500 cost more limb work than updating
 only the matching lanes; `enumerate_embeddings` needs the count within its
 budget before it lists any, and no caller comes near that range.
+
+`enumerate_embeddings` lists level by level.  A greedy scan from the right
+finds the latest embedding of u; u[i] may sit at any of its occurrences up
+to its place there, and level i extends each entry of level i - 1 by every
+such position right of its last one, in ascending order.  That embedding's
+suffix completes every entry, so no level outgrows the count checked
+against the budget, and the last level is sorted.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from math import comb
 
@@ -54,6 +60,8 @@ def enumerate_embeddings(
 
     Refuses inputs whose embedding count exceeds the budget before listing
     any; the count alone answers an empty u and a u that does not embed.
+    Each level extends the one before by the allowed positions of one more
+    letter of u; every entry completes, so no level is longer than the count.
     """
     total = count_embeddings(w, u)
     if total > budget:
@@ -61,32 +69,16 @@ def enumerate_embeddings(
     w, u = tuple(w), tuple(u)
     if not (total and u):
         return [()] * total
-    n, m = len(w), len(u)
-    occ: dict[int, list[int]] = {}
-    for j, a in enumerate(w):
-        occ.setdefault(a, []).append(j)
-    out: list[Embedding] = []
-    stack = [0] * m  # 0-based chosen positions
-    i = 0
-    nxt = 0  # smallest candidate position for u[i]
-    while i >= 0:
-        positions = occ[u[i]]
-        k = bisect_left(positions, nxt)
-        # too few letters left for the remaining suffix of u: backtrack
-        while k < len(positions) and positions[k] + (m - i) <= n:
-            stack[i] = positions[k]
-            if i == m - 1:
-                out.append(tuple(p + 1 for p in stack))
-                k += 1
-            else:
-                i += 1
-                nxt = stack[i - 1] + 1
-                break
-        else:
-            i -= 1
-            if i >= 0:
-                nxt = stack[i] + 1
-    return out
+    # right to left: u[i] may sit at its positions before u[i + 1]'s latest
+    # one, and the last of them is u[i]'s own latest position
+    spots, j = [], len(w)
+    for a in reversed(u):
+        spots.append([k for k, b in enumerate(w[:j], 1) if b == a])
+        j = spots[-1][-1] - 1
+    level: list[Embedding] = [(k,) for k in spots.pop()]
+    for ks in reversed(spots):
+        level = [e + (k,) for e in level for k in ks if k > e[-1]]
+    return level
 
 
 def complement_of_embedding(w: Sequence[int], e: Sequence[int]) -> Word:

@@ -14,19 +14,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .complement import complement_set
-from .errors import DEFAULT_BUDGET, LengthMismatch, NotAScatteredFactor
+from .errors import DEFAULT_BUDGET, NotAScatteredFactor
 from .shuffle import in_shuffle
-from .words import Word, is_scattered_factor
+from .words import Word, _equal_length_words, is_scattered_factor
 
 
 def _checked_set(w, S) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    wt = tuple(w)
-    vs = [tuple(v) for v in S]
-    if not vs:
-        raise ValueError("S must contain at least one word")
-    lengths = {len(v) for v in vs}
-    if len(lengths) != 1:
-        raise LengthMismatch(f"words in S have different lengths: {sorted(lengths)}")
+    wt, vs = tuple(w), _equal_length_words(S)
     for v in vs:
         if not is_scattered_factor(v, wt):
             raise NotAScatteredFactor(f"{Word(v)!r} is not a scattered factor of {Word(wt)!r}")

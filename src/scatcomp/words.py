@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import groupby
 
-from .errors import WordSyntaxError
+from .errors import LengthMismatch, WordSyntaxError
 
 
 class Word(tuple):
@@ -144,6 +144,17 @@ def is_scattered_factor(u: Sequence[int], w: Sequence[int]) -> bool:
     """True iff u can be obtained from w by deleting letters (greedy scan)."""
     it = iter(w)
     return all(a in it for a in u)
+
+
+def _equal_length_words(S: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """S as a list of tuples; S must hold at least one word, all of one length."""
+    vs = [tuple(v) for v in S]
+    if not vs:
+        raise ValueError("S must contain at least one word")
+    lengths = {len(v) for v in vs}
+    if len(lengths) != 1:
+        raise LengthMismatch(f"words in S have different lengths: {sorted(lengths)}")
+    return vs
 
 
 def condensed(w: Sequence[int]) -> Word:

@@ -98,6 +98,19 @@ def test_embed_modes(capsys):
     assert out == ""
 
 
+def test_embed_json_stats_count_the_embeddings(capsys):
+    _, out, _ = run(capsys, "--json", "embed", "ababbaba", "ab", "--count")
+    n = json.loads(out)["result"]
+    assert n == 8
+    for mode in ((), ("--group",)):
+        code, out, _ = run(capsys, "--json", "embed", "ababbaba", "ab", *mode)
+        assert code == 0
+        assert json.loads(out)["stats"]["embeddings"] == n
+    code, out, _ = run(capsys, "embed", "ab", "ba", "--json")
+    assert code == 1
+    assert json.loads(out)["stats"]["embeddings"] == 0
+
+
 def test_archfac_golden(capsys):
     code, out, _ = run(capsys, "archfac", "abcabc")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -88,6 +89,42 @@ def test_letter_square_forces_equal_complements():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_embeddings(word("a") * 30, word("a") * 15, budget=1000)
+
+
+def _brute_embeddings(w, u):
+    # every increasing choice of |u| positions, kept when it spells u
+    return [e for e in combinations(range(1, len(w) + 1), len(u)) if all(w[p - 1] == a for p, a in zip(e, u))]
+
+
+def test_enumeration_against_brute_force_in_order():
+    codes = (-3, 0, 1, 2, 256, 2**40)
+    rng = random.Random(12)
+    for k in range(2400):
+        alpha = rng.sample(codes, rng.randint(1, 4))
+        w = tuple(rng.choice(alpha) for _ in range(rng.randint(0, 12)))
+        if k % 8 == 0:  # u longer than w
+            u = tuple(rng.choice(alpha) for _ in range(len(w) + rng.randint(1, 2)))
+        elif k % 8 == 1:
+            u = ()
+        elif k % 2:  # a random word, often not a scattered factor
+            u = tuple(rng.choice(alpha) for _ in range(rng.randint(1, 6)))
+        else:  # a scattered factor of w
+            u = tuple(w[p] for p in sorted(rng.sample(range(len(w)), rng.randint(0, len(w)))))
+        assert enumerate_embeddings(w, u) == _brute_embeddings(w, u), (w, u)
+
+
+def test_large_binary_enumeration_and_its_budget_boundary():
+    rng = random.Random(15)
+    w = tuple(rng.choice((1, 2)) for _ in range(24))
+    u = w[::3]
+    total = count_embeddings(w, u)
+    assert total > 10**4
+    embs = enumerate_embeddings(w, u, budget=total)
+    assert len(embs) == total
+    assert all(a < b for a, b in zip(embs, embs[1:]))
+    assert all(all(w[p - 1] == a for p, a in zip(e, u)) and list(e) == sorted(set(e)) for e in embs)
+    with pytest.raises(BudgetExceeded, match=f"^{total} embeddings exceed budget {total - 1}$"):
+        enumerate_embeddings(w, u, budget=total - 1)
 
 
 def _lane_dp(w, u):
