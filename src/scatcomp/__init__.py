@@ -41,7 +41,7 @@ from .shuffle import (
     self_shuffle_by_second_occurrence,
     shuffle_set,
 )
-from .verify import SuiteReport, available_suites, run_suite, run_suites, run_sweep
+from .verify import SuiteReport, available_suites, run_suite, run_suites
 from .words import (
     Alphabet,
     Word,
@@ -103,7 +103,6 @@ __all__ = [
     "reconstruct_word",
     "run_suite",
     "run_suites",
-    "run_sweep",
     "self_shuffle_by_second_occurrence",
     "shuffle_set",
     "text",

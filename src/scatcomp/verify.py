@@ -2,16 +2,18 @@
 
 Each suite checks one algorithm or one combinatorial property against an
 independent brute-force route over every small input, and reports the number
-of checks plus any violations.  The registry `_SUITES` holds each suite's
-name, its checker or body, and its default max_len and sigma.  A sweep
-checker runs on every canonical word up to max_len (letters first occur in
-increasing code order: one word per relabeling class, which suffices because
-the solvers commute with relabelings, as the "equivariance" suite
-spot-checks) and reads the word's census from a shared `_Lab`.  A standalone
-body enumerates its own cases.  The one driver, `run_suites`, runs the sweep
-suites that share a (max_len, sigma) in one `run_sweep`, so `verify all`
-builds each census once per default scale.  The three self-shuffle suites
-share `_self_shuffle_cases`, whose truth never comes from `in_shuffle`.
+of checks plus any violations.  The registry `_SUITES` holds one record per
+checker: the names of the suites it reports, listed there and nowhere else,
+and its default max_len and sigma.  A sweep checker runs on every canonical
+word up to max_len (letters first occur in increasing code order: one word
+per relabeling class, which suffices because the solvers commute with
+relabelings, as the "equivariance" suite spot-checks), reads the word's
+census from a shared `_Lab`, and gets one report per name from the driver.
+A standalone body enumerates its own cases.  The one driver, `run_suites`,
+creates every report and runs the sweep checkers that share a (max_len,
+sigma) in one sweep, so `verify all` builds each census once per default
+scale.  The three self-shuffle suites share `_self_shuffle_cases`, whose
+truth never comes from `in_shuffle`.
 
 Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
 second-occurrence-greedy) pin claims with genuine counterexamples and report
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Callable
@@ -99,37 +102,27 @@ def canonical_words(n: int, sigma: int):
 
 
 class _Lab:
-    """Lazily computed per-word data shared by the sweep checkers."""
-
-    __slots__ = ("wt", "n", "_census", "_fact")
+    """Per-word data shared by the sweep checkers, each computed on first read."""
 
     def __init__(self, wt: tuple[int, ...]):
         self.wt = wt
         self.n = len(wt)
-        self._census = None
-        self._fact = None
 
-    @property
+    @cached_property
     def census(self):
-        if self._census is None:
-            self._census = _complement_census(self.wt)
-        return self._census
+        return _complement_census(self.wt)
 
-    @property
+    @cached_property
     def fact(self):
-        if self._fact is None:
-            self._fact = arch_factorize(self.wt)
-        return self._fact
+        return arch_factorize(self.wt)
 
 
 # --- sweep checkers ----------------------------------------------------------
 
-def _ck_prefix_alg(lab: _Lab, reports) -> None:
+def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None) -> None:
     """Prefix-table algorithm vs the subset census, for every scattered
     factor of w at once (the table rows for u extend those for its prefixes).
     Also checks that every complement word has length |w| - |u|."""
-    rep = reports.get("complement-prefix")
-    lrep = reports.get("length-uniformity")
     wt, n, census = lab.wt, lab.n, lab.census
     enc, dec = _c._codec(wt)
     ct = tuple(map(enc, wt))
@@ -164,11 +157,9 @@ def _ck_prefix_alg(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(wt)} u={_fmt(probe)}: census disagrees with brute oracle")
 
 
-def _ck_suffix_alg(lab: _Lab, reports) -> None:
+def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None) -> None:
     """Suffix-matching algorithm vs the subset census, embedding counts
     included; multiplicities must also sum to the embedding-count table."""
-    rep = reports.get("complement-suffix")
-    mrep = reports.get("multiplicity-sum")
     wt, census = lab.wt, lab.census
     enc, dec = _c._codec(wt)
     ct = tuple(map(enc, wt))
@@ -198,9 +189,8 @@ def _ck_suffix_alg(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(wt)} u={_fmt(probe)}: public multiplicities disagree with census")
 
 
-def _ck_symmetry(lab: _Lab, reports) -> None:
+def _ck_symmetry(lab: _Lab, rep: SuiteReport) -> None:
     """v in C(w,u) iff u in C(w,v)."""
-    rep = reports["complement-symmetry"]
     census = lab.census
     for u, per in census.items():
         for v in per:
@@ -210,10 +200,9 @@ def _ck_symmetry(lab: _Lab, reports) -> None:
                 rep.flag(f"w={_fmt(lab.wt)}: {_fmt(v)} in C(w,{_fmt(u)}) but not vice versa")
 
 
-def _ck_embedding_bound(lab: _Lab, reports) -> None:
+def _ck_embedding_bound(lab: _Lab, rep: SuiteReport) -> None:
     """Every scattered factor no longer than the universality index has at
     least binom(iota, |u|) embeddings."""
-    rep = reports["embedding-lower-bound"]
     iota = lab.fact.universality_index
     for u, per in lab.census.items():
         if len(u) <= iota:
@@ -225,10 +214,9 @@ def _ck_embedding_bound(lab: _Lab, reports) -> None:
                 )
 
 
-def _ck_universality(lab: _Lab, reports) -> None:
+def _ck_universality(lab: _Lab, rep: SuiteReport) -> None:
     """iota(w) is the largest k with every length-k word over letters(w) a
     scattered factor, checked against brute-force factor enumeration."""
-    rep = reports["universality-index"]
     wt, n = lab.wt, lab.n
     if n == 0:
         return
@@ -243,7 +231,7 @@ def _ck_universality(lab: _Lab, reports) -> None:
         rep.flag(f"w={_fmt(wt)}: full coverage at length {iota + 1} > iota={iota}")
 
 
-def _ck_two_arch(lab: _Lab, reports) -> None:
+def _ck_two_arch(lab: _Lab, rep: SuiteReport) -> None:
     """For iota(w) = 2 and a single letter u: |C(w,u)| = 1 iff u is the first
     modus letter and the second arch is a run of it followed only by other
     letters.
@@ -253,7 +241,6 @@ def _ck_two_arch(lab: _Lab, reports) -> None:
     that the suite reports.  single-letter-run checks the characterization
     that does hold.
     """
-    rep = reports["two-arch-singleton"]
     fact = lab.fact
     if fact.universality_index != 2:
         return
@@ -270,11 +257,10 @@ def _ck_two_arch(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(lab.wt)} u={_fmt((a,))}: singleton={singleton} form={form}")
 
 
-def _ck_single_letter_run(lab: _Lab, reports) -> None:
+def _ck_single_letter_run(lab: _Lab, rep: SuiteReport) -> None:
     """For a single letter u: |C(w,u)| = 1 iff the occurrences of u in w are
     contiguous.  This is the repaired form of the two-arch claim and holds
     for every universality index."""
-    rep = reports["single-letter-run"]
     wt = lab.wt
     for a in sorted(set(wt)):
         rep.checked += 1
@@ -284,10 +270,9 @@ def _ck_single_letter_run(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(wt)} u={_fmt((a,))}: contiguous={contiguous}")
 
 
-def _ck_first_letter(lab: _Lab, reports) -> None:
+def _ck_first_letter(lab: _Lab, rep: SuiteReport) -> None:
     """For iota(w) >= 2 and nonempty u shorter than iota: starting with a
     letter other than the first modus letter forces |C(w,u)| > 1."""
-    rep = reports["first-letter-modus"]
     fact = lab.fact
     iota = fact.universality_index
     if iota < 2:
@@ -300,7 +285,7 @@ def _ck_first_letter(lab: _Lab, reports) -> None:
                 rep.flag(f"w={_fmt(lab.wt)} u={_fmt(u)}: singleton despite u[1] != modus[1]")
 
 
-def _ck_three_letter(lab: _Lab, reports) -> None:
+def _ck_three_letter(lab: _Lab, rep: SuiteReport) -> None:
     """Over at least three letters with iota(w) > 2, every nonempty u shorter
     than iota has more than one complement word.
 
@@ -308,7 +293,6 @@ def _ck_three_letter(lab: _Lab, reports) -> None:
     (first counterexamples at length 9, e.g. w = abccabbac with u = cb, where
     all four embeddings of cb leave abcabac).  The suite reports them.
     """
-    rep = reports["three-letter-nontrivial"]
     if len(set(lab.wt)) < 3:
         return
     iota = lab.fact.universality_index
@@ -321,7 +305,7 @@ def _ck_three_letter(lab: _Lab, reports) -> None:
                 rep.flag(f"w={_fmt(lab.wt)} u={_fmt(u)}: singleton below iota over 3 letters")
 
 
-def _ck_modus_prefix(lab: _Lab, reports) -> None:
+def _ck_modus_prefix(lab: _Lab, rep: SuiteReport) -> None:
     """For empty rest and each modus letter opening the next arch, the modus
     prefix of length iota-1 is the unique factor of that length with a
     singleton complement set.
@@ -331,7 +315,6 @@ def _ck_modus_prefix(lab: _Lab, reports) -> None:
     apart, so u = c has two complements), so the suite reports violations.
     Over two letters the claim is exhaustively clean through length 9.
     """
-    rep = reports["modus-prefix-unique"]
     fact = lab.fact
     iota = fact.universality_index
     if iota < 1 or len(fact.rest) != 0:
@@ -349,10 +332,9 @@ def _ck_modus_prefix(lab: _Lab, reports) -> None:
         )
 
 
-def _ck_squarefree(lab: _Lab, reports) -> None:
+def _ck_squarefree(lab: _Lab, rep: SuiteReport) -> None:
     """In a square-free word, a singleton complement set forces a unique
     embedding (two embeddings always produce two complement words)."""
-    rep = reports["squarefree-embeddings"]
     if not is_square_free(lab.wt):
         return
     for u, per in lab.census.items():
@@ -361,10 +343,9 @@ def _ck_squarefree(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(lab.wt)} u={_fmt(u)}: single complement, several embeddings")
 
 
-def _ck_ls_char(lab: _Lab, reports) -> None:
+def _ck_ls_char(lab: _Lab, rep: SuiteReport) -> None:
     """w has no letter square iff every factor with a singleton complement
     set has exactly one embedding (both directions, per word)."""
-    rep = reports["letter-square-free"]
     rep.checked += 1
     square_free_letters = not contains_letter_square(lab.wt)
     unique_embeddings = all(
@@ -379,12 +360,11 @@ def _ck_ls_char(lab: _Lab, reports) -> None:
         )
 
 
-def _ck_ls_usage(lab: _Lab, reports) -> None:
+def _ck_ls_usage(lab: _Lab, rep: SuiteReport) -> None:
     """In a word with letter squares, for u with a singleton complement set:
     if some embedding uses none-or-both positions of every letter square
     there is exactly one embedding, otherwise (every embedding splitting some
     square) there are at least two."""
-    rep = reports["letter-square-usage"]
     wt, n = lab.wt, lab.n
     squares = [i for i in range(n - 1) if wt[i] == wt[i + 1]]
     if not squares:
@@ -406,10 +386,9 @@ def _ck_ls_usage(lab: _Lab, reports) -> None:
             )
 
 
-def _ck_superword(lab: _Lab, reports) -> None:
+def _ck_superword(lab: _Lab, rep: SuiteReport) -> None:
     """The skipping two-cursor scan agrees with brute force on whether some
     complement word contains u again."""
-    rep = reports["superword-scan"]
     wt = lab.wt
     for u, per in lab.census.items():
         rep.checked += 1
@@ -418,10 +397,9 @@ def _ck_superword(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: scan={not truth} brute={truth}")
 
 
-def _ck_recover(lab: _Lab, reports) -> None:
+def _ck_recover(lab: _Lab, rep: SuiteReport) -> None:
     """find_u(w, C(w,u)) returns a word whose census row is exactly C(w,u),
     for every scattered factor u."""
-    rep = reports["recover-deleted"]
     wt, census = lab.wt, lab.census
     cache: dict[frozenset, bool] = {}
     for u, per in census.items():
@@ -435,33 +413,12 @@ def _ck_recover(lab: _Lab, reports) -> None:
             rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: no verified recovery for C(w,u)")
 
 
-def run_sweep(names, max_len: int, sigma: int = 3) -> dict[str, SuiteReport]:
-    """Run the named per-word checkers over all canonical words up to
-    max_len, sharing the per-word census."""
-    names = list(names)
-    unknown = [nm for nm in names if nm not in _SUITES or not _SUITES[nm].sweep]
-    if unknown:
-        raise KeyError(f"unknown sweep suites: {unknown}")
-    reports = {nm: SuiteReport(nm) for nm in names}
-    fns = list(dict.fromkeys(_SUITES[nm].run for nm in names))
-    timings = {fn: 0.0 for fn in fns}
-    for n in range(max_len + 1):
-        for wt in canonical_words(n, sigma):
-            lab = _Lab(wt)
-            for fn in fns:
-                t0 = time.perf_counter()
-                fn(lab, reports)
-                timings[fn] += time.perf_counter() - t0
-    for nm in names:
-        reports[nm].elapsed = timings[_SUITES[nm].run]
-    return reports
-
-
 # --- standalone suites -------------------------------------------------------
 
 def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
-    """exists_word / reconstruct_word vs brute force for every instance with
-    at most two pairs and total pair length up to max_len.
+    """reconstruct_word vs brute force for every instance with at most two
+    pairs and total pair length up to max_len: the answer must be exactly
+    the lex-least word interleaving every pair, or None if there is none.
 
     Pairs are normalized to v <= u, which loses nothing because a word
     interleaves (v, u) iff it interleaves (u, v); a deterministic sample of
@@ -477,12 +434,12 @@ def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: in
                 u = tuple(w[i] for i in range(n) if not mask >> i & 1)
                 admit[(v, u)] = admit.get((v, u), 0) | bit
         norm = sorted(p for p in admit if p[0] <= p[1])
-        # single-pair instances: always satisfiable, witness must be lex-least
+        # single-pair instances: always satisfiable
         for p in norm:
             rep.checked += 1
             got = reconstruct_word([p])
             want = wordlist[_lowest_bit(admit[p])]
-            if not exists_word([p]) or got != want:
+            if got != want:
                 rep.flag(f"pair {_fmt(p[0])}/{_fmt(p[1])}: got {got!r}, want {_fmt(want)}")
         # two-pair instances
         for i, p in enumerate(norm):
@@ -490,26 +447,18 @@ def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: in
             for j in range(i + 1, len(norm)):
                 q = norm[j]
                 inter = ap & admit[q]
-                truth = inter != 0
+                want = wordlist[_lowest_bit(inter)] if inter else None
                 Z = [p, q]
                 if (i * len(norm) + j) % 16 == 0:
                     Z = [(p[1], p[0]), q]  # exercise the swapped orientation
                 rep.checked += 1
-                if exists_word(Z) != truth:
-                    rep.flag(f"{_two_pairs(p, q)}: solver={not truth} brute={truth}")
-                    continue
-                if (i * 7919 + j) % 997 == 0:
+                got = reconstruct_word(Z)
+                if got != want:
+                    rep.flag(f"{_two_pairs(p, q)}: got {got!r}, want {want!r}")
+                elif (i * 7919 + j) % 997 == 0:
                     # anchor the bitmask sieve to the plain scanning oracle
-                    byscan = brute_exists_word(Z, range(1, sigma + 1))
-                    if (byscan is not None) != truth or (
-                        truth and byscan != wordlist[_lowest_bit(inter)]
-                    ):
+                    if brute_exists_word(Z, range(1, sigma + 1)) != want:
                         rep.flag(f"{_two_pairs(p, q)}: sieve disagrees with scanning oracle")
-                if truth and (i + j) % 4 == 0:
-                    got = reconstruct_word(Z)
-                    want = wordlist[_lowest_bit(inter)]
-                    if got != want:
-                        rep.flag(f"{_two_pairs(p, q)}: reconstructed {got!r}, want {_fmt(want)}")
 
 
 def _two_pairs(p, q) -> str:
@@ -715,11 +664,13 @@ def suite_equivariance(rep: SuiteReport, max_len: int, sigma: int, seed: int) ->
 
 @dataclass(frozen=True)
 class _Suite:
-    """One suite: a sweep checker (lab, reports) sharing the per-word census,
-    or a standalone body (report, max_len, sigma, seed); its default scale;
-    and the least max_len and sigma it accepts."""
+    """One checker and the names of the suites it reports: the only place a
+    suite is named.  A sweep checker (lab, *reports) reads the per-word
+    census and gets one report per name, None for a name not being run; a
+    standalone body (report, max_len, sigma, seed) has one name.  Also the
+    default scale, and the least max_len and sigma accepted."""
 
-    name: str
+    names: tuple[str, ...]
     run: Callable
     max_len: int | None  # None: the suite has fixed word shapes
     sigma: int = 3
@@ -728,33 +679,31 @@ class _Suite:
     min_sigma: int = 1
 
 
-_SUITES = {s.name: s for s in (
-    _Suite("complement-prefix", _ck_prefix_alg, 9),
-    _Suite("length-uniformity", _ck_prefix_alg, 9),
-    _Suite("complement-suffix", _ck_suffix_alg, 9),
-    _Suite("multiplicity-sum", _ck_suffix_alg, 9),
-    _Suite("complement-symmetry", _ck_symmetry, 9),
-    _Suite("embedding-lower-bound", _ck_embedding_bound, 9),
-    _Suite("universality-index", _ck_universality, 10),
-    _Suite("two-arch-singleton", _ck_two_arch, 9),
-    _Suite("single-letter-run", _ck_single_letter_run, 9),
-    _Suite("first-letter-modus", _ck_first_letter, 9),
-    _Suite("three-letter-nontrivial", _ck_three_letter, 9),
-    _Suite("modus-prefix-unique", _ck_modus_prefix, 9),
-    _Suite("squarefree-embeddings", _ck_squarefree, 9),
-    _Suite("letter-square-free", _ck_ls_char, 9),
-    _Suite("letter-square-usage", _ck_ls_usage, 9),
-    _Suite("superword-scan", _ck_superword, 8),
-    _Suite("recover-deleted", _ck_recover, 8),
-    _Suite("pairwise-disjoint", suite_pairwise_disjoint, 6, sweep=False),
-    _Suite("selfshuffle-scan", suite_selfshuffle, 10, sweep=False),
-    _Suite("second-occurrence-greedy", suite_second_occurrence, 8, sweep=False),
-    _Suite("perfectshuffle", suite_perfectshuffle, 10, sweep=False),
-    _Suite("first-second-occurrence", suite_first_second, 8, sweep=False),
-    _Suite("shuffle-membership", suite_shuffle_membership, 7, sweep=False),
-    _Suite("repetition-classes", suite_repetition, None, sigma=2, sweep=False),
-    _Suite("equivariance", suite_equivariance, 10, sigma=4, sweep=False, min_len=1, min_sigma=2),
-)}
+_SUITES = {nm: s for s in (
+    _Suite(("complement-prefix", "length-uniformity"), _ck_prefix_alg, 9),
+    _Suite(("complement-suffix", "multiplicity-sum"), _ck_suffix_alg, 9),
+    _Suite(("complement-symmetry",), _ck_symmetry, 9),
+    _Suite(("embedding-lower-bound",), _ck_embedding_bound, 9),
+    _Suite(("universality-index",), _ck_universality, 10),
+    _Suite(("two-arch-singleton",), _ck_two_arch, 9),
+    _Suite(("single-letter-run",), _ck_single_letter_run, 9),
+    _Suite(("first-letter-modus",), _ck_first_letter, 9),
+    _Suite(("three-letter-nontrivial",), _ck_three_letter, 9),
+    _Suite(("modus-prefix-unique",), _ck_modus_prefix, 9),
+    _Suite(("squarefree-embeddings",), _ck_squarefree, 9),
+    _Suite(("letter-square-free",), _ck_ls_char, 9),
+    _Suite(("letter-square-usage",), _ck_ls_usage, 9),
+    _Suite(("superword-scan",), _ck_superword, 8),
+    _Suite(("recover-deleted",), _ck_recover, 8),
+    _Suite(("pairwise-disjoint",), suite_pairwise_disjoint, 6, sweep=False),
+    _Suite(("selfshuffle-scan",), suite_selfshuffle, 10, sweep=False),
+    _Suite(("second-occurrence-greedy",), suite_second_occurrence, 8, sweep=False),
+    _Suite(("perfectshuffle",), suite_perfectshuffle, 10, sweep=False),
+    _Suite(("first-second-occurrence",), suite_first_second, 8, sweep=False),
+    _Suite(("shuffle-membership",), suite_shuffle_membership, 7, sweep=False),
+    _Suite(("repetition-classes",), suite_repetition, None, sigma=2, sweep=False),
+    _Suite(("equivariance",), suite_equivariance, 10, sigma=4, sweep=False, min_len=1, min_sigma=2),
+) for nm in s.names}
 
 
 def available_suites() -> list[str]:
@@ -766,13 +715,14 @@ def run_suites(names, max_len=None, sigma=None, seed=None) -> list[SuiteReport]:
     """Run the named suites, each at its default scale unless overridden, and
     return their reports in the order of names.
 
-    Sweep suites that end up at the same (max_len, sigma) share one
-    run_sweep, so each word's census is built once for all of them; the
+    The sweep checkers that end up at the same (max_len, sigma) share one
+    `_run_sweep`, so each word's census is built once for all of them; the
     results equal those of one run per suite.  The randomized suite draws
     from seed (default 0).
     """
     names = list(names)
-    scales = {}
+    reports: dict[str, SuiteReport] = {}
+    scales: dict[_Suite, tuple] = {}
     for nm in names:
         suite = _SUITES.get(nm)
         if suite is None:
@@ -781,21 +731,38 @@ def run_suites(names, max_len=None, sigma=None, seed=None) -> list[SuiteReport]:
             raise ScatcompError(f"--max-len must be at least {suite.min_len} for {nm}, got {max_len}")
         if sigma is not None and sigma < suite.min_sigma:
             raise ScatcompError(f"--sigma must be at least {suite.min_sigma} for {nm}, got {sigma}")
-        scales[nm] = (suite.max_len if max_len is None else max_len,
-                      suite.sigma if sigma is None else sigma)
-    reports: dict[str, SuiteReport] = {}
-    groups: dict[tuple, list[str]] = {}
-    for nm, scale in scales.items():
-        if _SUITES[nm].sweep:
-            groups.setdefault(scale, []).append(nm)
+        reports[nm] = SuiteReport(nm)
+        scales[suite] = (suite.max_len if max_len is None else max_len,
+                         suite.sigma if sigma is None else sigma)
+    groups: dict[tuple, list[_Suite]] = {}
+    for suite, scale in scales.items():
+        if suite.sweep:
+            groups.setdefault(scale, []).append(suite)
             continue
-        rep = reports[nm] = SuiteReport(nm)
+        rep = reports[suite.names[0]]
         t0 = time.perf_counter()
-        _SUITES[nm].run(rep, *scale, 0 if seed is None else seed)
+        suite.run(rep, *scale, 0 if seed is None else seed)
         rep.elapsed = time.perf_counter() - t0
-    for scale, group in groups.items():
-        reports.update(run_sweep(group, *scale))
+    for scale, suites in groups.items():
+        _run_sweep([(s.run, [reports.get(nm) for nm in s.names]) for s in suites], *scale)
     return [reports[nm] for nm in names]
+
+
+def _run_sweep(jobs, max_len: int, sigma: int) -> None:
+    """Run each (checker, reports) job over all canonical words up to
+    max_len, sharing each word's census, and charge every report its
+    checker's time."""
+    spent = [0.0] * len(jobs)
+    for n in range(max_len + 1):
+        for wt in canonical_words(n, sigma):
+            lab = _Lab(wt)
+            for k, (run, reps) in enumerate(jobs):
+                t0 = time.perf_counter()
+                run(lab, *reps)
+                spent[k] += time.perf_counter() - t0
+    for (_, reps), t in zip(jobs, spent):
+        for rep in filter(None, reps):
+            rep.elapsed = t
 
 
 def run_suite(name: str, max_len=None, sigma=None, seed=None) -> SuiteReport:

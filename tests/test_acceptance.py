@@ -21,7 +21,7 @@ from scatcomp.shuffle import (
     perfect_shuffle,
     shuffle_set,
 )
-from scatcomp.verify import run_suite, run_sweep
+from scatcomp.verify import run_suite, run_suites
 from scatcomp.words import Word, text, word
 
 
@@ -58,7 +58,7 @@ SWEEP_NAMES = [
 
 @pytest.fixture(scope="module")
 def sweep9():
-    return run_sweep(SWEEP_NAMES, max_len=9, sigma=3)
+    return {r.name: r for r in run_suites(SWEEP_NAMES, max_len=9, sigma=3)}
 
 
 def _suite_criterion(name: str, report) -> None:

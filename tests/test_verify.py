@@ -3,12 +3,12 @@
 Full-scale runs live in the acceptance tests; these stay at small scales.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from scatcomp import verify
-from scatcomp.verify import available_suites, canonical_words, run_suite, run_suites, run_sweep
+from scatcomp.verify import available_suites, canonical_words, run_suite, run_suites
 
 
 def test_registry_is_complete():
@@ -43,7 +43,7 @@ def test_canonical_words_count_matters():
 
 
 def test_sweep_runs_multiple_names_in_one_pass(capsys):
-    reports = run_sweep(["complement-prefix", "length-uniformity"], max_len=5)
+    reports = {r.name: r for r in run_suites(["complement-prefix", "length-uniformity"], max_len=5)}
     assert set(reports) == {"complement-prefix", "length-uniformity"}
     assert all(r.ok and r.checked > 0 for r in reports.values())
 
@@ -130,3 +130,42 @@ def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):
     r = run_suite("first-second-occurrence", max_len=6)
     assert (r.checked, len(r.violations)) == (3427, 7)
     assert "w=aaaa v=aa: got ((1, 3), (2, 4)), want ((1, 2), (3, 4))" in r.violations
+
+
+def _splits(w, v, u):
+    n = len(w)
+    return any(
+        tuple(w[i] for i in range(n) if m >> i & 1) == v
+        and tuple(w[i] for i in range(n) if not m >> i & 1) == u
+        for m in range(1 << n)
+    )
+
+
+def test_pairwise_disjoint_suite_rejects_a_witness_that_is_not_the_least(monkeypatch):
+    # returning the greatest common word must fail on every instance (one
+    # pair or two) that has two or more common words, counted here by brute
+    # force over the suite's normalized pairs v <= u
+    def greatest(pairs):
+        v, u = pairs[0]
+        for w in sorted(set(permutations(v + u)), reverse=True):
+            if all(_splits(w, a, b) for a, b in pairs):
+                return w
+        return None
+
+    many = 0
+    for n in range(4):
+        admit = {}
+        for w in product(range(1, 4), repeat=n):
+            for m in range(1 << n):
+                v = tuple(w[i] for i in range(n) if m >> i & 1)
+                u = tuple(w[i] for i in range(n) if not m >> i & 1)
+                admit.setdefault((v, u), set()).add(w)
+        norm = sorted(p for p in admit if p[0] <= p[1])
+        many += sum(len(admit[p]) >= 2 for p in norm)
+        many += sum(
+            len(admit[p] & admit[q]) >= 2 for i, p in enumerate(norm) for q in norm[i + 1:]
+        )
+    assert many == 45
+    monkeypatch.setattr(verify, "reconstruct_word", greatest)
+    r = run_suite("pairwise-disjoint", max_len=3)
+    assert len(r.violations) + r.overflow == many
