@@ -3,15 +3,18 @@
 Words are given positionally in letters a-z; sets of words come from files
 with one word per line (optional first line `#alphabet:<letters>`).  Every
 subcommand honors --json, which wraps the result in an envelope with timing
-and size counters.  Exit codes: 0 success or true, 1 no solution or false,
-2 usage or validation error, 3 enumeration budget exceeded.  A failure never
-exits 1: RecursionError and MemoryError exit 3, and any other exception exits
-2 with "internal error: <Type>: <message>" on stderr.  With --json, exits 2
-and 3 also print an error envelope on stdout,
+and size counters.  Plain output is that result rendered by the one rule
+in `_render`; only complement --table, archfac, shuffle --size-only, verify
+and find-u --all with no match print lines of their own.  Exit codes: 0
+success or true, 1 no solution or false, 2 usage or validation error, 3
+enumeration budget exceeded.  A failure never exits 1: RecursionError and
+MemoryError exit 3, and any other exception exits 2 with "internal error:
+<Type>: <message>" on stderr.  With --json, exits 2 and 3 also print an
+error envelope on stdout,
 {"error": {"type": <exception class>, "message": <text>}, "exit": <code>},
 next to the same stderr line; argparse usage errors stay plain text.  The
-environment variable SCATCOMP_BUDGET overrides each function's enumeration
-cap.
+environment variable SCATCOMP_BUDGET sets the budget argument of every
+solver call that takes one (for find-w, the number of witnesses verified).
 """
 
 from __future__ import annotations
@@ -63,19 +66,30 @@ class _Emit:
         self.lines.append(line)
 
     def close(self, status: int) -> int:
+        """Print the JSON envelope, else the said lines or the rendered result."""
         if self.as_json:
             self.stats["elapsed_ms"] = round((time.perf_counter() - self.t0) * 1000, 3)
-            envelope = {
-                "command": self.command,
-                "inputs": self.inputs,
-                "result": self.result,
-                "stats": self.stats,
-            }
+            envelope = {"command": self.command, "inputs": self.inputs,
+                        "result": self.result, "stats": self.stats}
             print(json.dumps(envelope, indent=2, sort_keys=True))
         else:
-            for line in self.lines:
+            for line in self.lines or _render(self.result):
                 print(line)
         return status
+
+
+def _render(result) -> list[str]:
+    """None as "no solution", a bool as true/false, a dict as key<TAB>value
+    lines, a list as one line per item (an inner list comma-joined), else str."""
+    if result is None:
+        return ["no solution"]
+    if isinstance(result, bool):
+        return ["true" if result else "false"]
+    if isinstance(result, dict):
+        return [f"{k}\t{v}" for k, v in result.items()]
+    if isinstance(result, list):
+        return [",".join(map(str, x)) if isinstance(x, list) else str(x) for x in result]
+    return [str(result)]
 
 
 def _cmd_complement(args, out: _Emit) -> int:
@@ -97,12 +111,8 @@ def _cmd_complement(args, out: _Emit) -> int:
     out.stats["embeddings"] = cs.total_embeddings if args.counts else count_embeddings(w, u)
     if args.counts:
         out.result = {text(v): cs.multiplicities[v] for v in ordered}
-        for v in ordered:
-            out.say(f"{text(v)}\t{cs.multiplicities[v]}")
     else:
         out.result = [text(v) for v in ordered]
-        for v in ordered:
-            out.say(text(v))
     return 0
 
 
@@ -110,34 +120,23 @@ def _cmd_embed(args, out: _Emit) -> int:
     w, u = word(args.w), word(args.u)
     if args.count:
         n = out.result = count_embeddings(w, u)
-        out.say(str(n))
     elif args.group:
         groups = group_equal_complements(w, u, **_budget_kwargs())
         n = sum(map(len, groups.values()))
         out.stats["set_size"] = len(groups)
         out.result = {text(v): len(es) for v, es in groups.items()}
-        for v, es in groups.items():
-            out.say(f"{text(v)}\t{len(es)}")
     else:
         embs = enumerate_embeddings(w, u, **_budget_kwargs())
         n = len(embs)
         out.result = [list(e) for e in embs]
-        for e in embs:
-            out.say(",".join(map(str, e)))
     out.stats["embeddings"] = n
     return 0 if n else 1
 
 
 def _cmd_archfac(args, out: _Emit) -> int:
-    if args.alphabet:
-        alpha = Alphabet(args.alphabet)
-        w = alpha.encode(args.w)
-        fact = arch_factorize(w, alpha)
-        dec = alpha.decode
-    else:
-        w = word(args.w)
-        fact = arch_factorize(w)
-        dec = text
+    alpha = None if args.alphabet is None else Alphabet(args.alphabet)
+    fact = arch_factorize(word(args.w) if alpha is None else alpha.encode(args.w), alpha)
+    dec = text if alpha is None else alpha.decode
     out.result = {
         "arches": [dec(a) for a in fact.arches],
         "rest": dec(fact.rest),
@@ -163,6 +162,12 @@ def _load_set(path, *extra_texts: str) -> tuple[list, Alphabet]:
     return [alpha.encode(ln) for ln in lines], alpha
 
 
+def _word_or_none(out: _Emit, alpha: Alphabet, w) -> int:
+    """Set the decoded word, or None for no solution, as the result."""
+    out.result = None if w is None else alpha.decode(w)
+    return 1 if w is None else 0
+
+
 def _cmd_find_u(args, out: _Emit) -> int:
     S, alpha = _load_set(args.set_file, args.w)
     w = alpha.encode(args.w)
@@ -171,15 +176,10 @@ def _cmd_find_u(args, out: _Emit) -> int:
     if args.all:
         found = find_u_all(w, S, **bk)
         out.result = [alpha.decode(u) for u in found]
-        for u in found:
-            out.say(alpha.decode(u))
         if not found:
             out.say("no solution")
         return 0 if found else 1
-    u = find_u(w, S, **bk)
-    out.result = None if u is None else alpha.decode(u)
-    out.say("no solution" if u is None else alpha.decode(u))
-    return 1 if u is None else 0
+    return _word_or_none(out, alpha, find_u(w, S, **bk))
 
 
 def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
@@ -203,20 +203,14 @@ def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
 def _cmd_exists_w(args, out: _Emit) -> int:
     pairs, alpha = _read_pairs(args.pairs)
     out.stats["set_size"] = len(pairs)
-    w = reconstruct_word(pairs, **_budget_kwargs())
-    out.result = None if w is None else alpha.decode(w)
-    out.say("no solution" if w is None else alpha.decode(w))
-    return 1 if w is None else 0
+    return _word_or_none(out, alpha, reconstruct_word(pairs, **_budget_kwargs()))
 
 
 def _cmd_find_w(args, out: _Emit) -> int:
     S, alpha = _load_set(args.set_file, args.u)
     u = alpha.encode(args.u)
     out.stats["set_size"] = len(S)
-    w = find_w(u, S, **_budget_kwargs())
-    out.result = None if w is None else alpha.decode(w)
-    out.say("no solution" if w is None else alpha.decode(w))
-    return 1 if w is None else 0
+    return _word_or_none(out, alpha, find_w(u, S, **_budget_kwargs()))
 
 
 def _cmd_shuffle(args, out: _Emit) -> int:
@@ -226,24 +220,16 @@ def _cmd_shuffle(args, out: _Emit) -> int:
     out.result = [text(w) for w in S]
     if args.size_only:
         out.say(str(len(S)))
-    else:
-        for w in S:
-            out.say(text(w))
     return 0
 
 
 def _cmd_perfect_shuffle(args, out: _Emit) -> int:
-    w = perfect_shuffle(word(args.u), word(args.v))
-    out.result = text(w)
-    out.say(text(w))
+    out.result = text(perfect_shuffle(word(args.u), word(args.v)))
     return 0
 
 
 def _cmd_self_shuffle(args, out: _Emit) -> int:
-    w, u = word(args.w), word(args.u)
-    ok = is_self_shuffle_complement(w, u)
-    out.result = ok
-    out.say("true" if ok else "false")
+    ok = out.result = is_self_shuffle_complement(word(args.w), word(args.u))
     return 0 if ok else 1
 
 
@@ -286,82 +272,56 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("complement", parents=[common],
-                        help="complement scattered factors of u in w")
-    sp.add_argument("w")
-    sp.add_argument("u")
-    sp.add_argument("--counts", action="store_true", help="append embedding multiplicities")
-    sp.add_argument("--table", action="store_true", help="print the full prefix table")
-    sp.set_defaults(fn=_cmd_complement)
+    def command(name, fn, help, *positionals):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        for pos in positionals:
+            sp.add_argument(pos)
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("embed", parents=[common], help="embeddings of u in w, one per line")
-    sp.add_argument("w")
-    sp.add_argument("u")
-    sp.add_argument("--count", action="store_true", help="print only the embedding count")
-    sp.add_argument("--group", action="store_true",
-                    help="group embeddings by complement word, print word<TAB>multiplicity")
-    sp.set_defaults(fn=_cmd_embed)
+    sp = command("complement", _cmd_complement, "complement scattered factors of u in w", "w", "u")
+    layout = sp.add_mutually_exclusive_group()
+    layout.add_argument("--counts", action="store_true", help="append embedding multiplicities")
+    layout.add_argument("--table", action="store_true", help="print the full prefix table")
 
-    sp = sub.add_parser("archfac", parents=[common],
-                        help="arch factorization, modus and universality index")
-    sp.add_argument("w")
+    sp = command("embed", _cmd_embed, "embeddings of u in w, one per line", "w", "u")
+    layout = sp.add_mutually_exclusive_group()
+    layout.add_argument("--count", action="store_true", help="print only the embedding count")
+    layout.add_argument("--group", action="store_true",
+                        help="group embeddings by complement word, print word<TAB>multiplicity")
+
+    sp = command("archfac", _cmd_archfac, "arch factorization, modus and universality index", "w")
     sp.add_argument("--alphabet", help="letters to treat as the alphabet, e.g. abc")
-    sp.set_defaults(fn=_cmd_archfac)
 
-    sp = sub.add_parser("find-u", parents=[common],
-                        help="recover u from w and the complement set")
-    sp.add_argument("w")
+    sp = command("find-u", _cmd_find_u, "recover u from w and the complement set", "w")
     sp.add_argument("--set-file", required=True)
     sp.add_argument("--all", action="store_true", help="list every u whose complement set matches")
-    sp.set_defaults(fn=_cmd_find_u)
 
-    sp = sub.add_parser("exists-w", parents=[common],
-                        help="word admitting disjoint embeddings for every pair")
-    sp.add_argument("--pairs", required=True,
-                    help="file of tab-separated lines 'v<TAB>u'")
-    sp.set_defaults(fn=_cmd_exists_w)
+    sp = command("exists-w", _cmd_exists_w, "word admitting disjoint embeddings for every pair")
+    sp.add_argument("--pairs", required=True, help="file of tab-separated lines 'v<TAB>u'")
 
-    sp = sub.add_parser("find-w", parents=[common],
-                        help="word whose complement set of u equals the given set")
-    sp.add_argument("u")
+    sp = command("find-w", _cmd_find_w, "word whose complement set of u equals the given set", "u")
     sp.add_argument("--set-file", required=True)
-    sp.set_defaults(fn=_cmd_find_w)
 
-    sp = sub.add_parser("shuffle", parents=[common], help="all interleavings of u and v")
-    sp.add_argument("u")
-    sp.add_argument("v")
+    sp = command("shuffle", _cmd_shuffle, "all interleavings of u and v", "u", "v")
     sp.add_argument("--size-only", action="store_true")
-    sp.set_defaults(fn=_cmd_shuffle)
 
-    sp = sub.add_parser("perfect-shuffle", parents=[common],
-                        help="letterwise alternation of two equal-length words")
-    sp.add_argument("u")
-    sp.add_argument("v")
-    sp.set_defaults(fn=_cmd_perfect_shuffle)
+    command("perfect-shuffle", _cmd_perfect_shuffle,
+            "letterwise alternation of two equal-length words", "u", "v")
+    command("self-shuffle", _cmd_self_shuffle, "is w an interleaving of u with itself", "w", "u")
 
-    sp = sub.add_parser("self-shuffle", parents=[common],
-                        help="is w an interleaving of u with itself")
-    sp.add_argument("w")
-    sp.add_argument("u")
-    sp.set_defaults(fn=_cmd_self_shuffle)
-
-    sp = sub.add_parser("verify", parents=[common], help="run a verification suite (or 'all')")
-    sp.add_argument("suite")
+    sp = command("verify", _cmd_verify, "run a verification suite (or 'all')", "suite")
     sp.add_argument("--max-len", type=int)
     sp.add_argument("--sigma", type=int)
     sp.add_argument("--seed", type=int)
-    sp.set_defaults(fn=_cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     as_json = getattr(args, "json", False)
-    inputs = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("fn", "json", "command") and v is not None
-    }
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("fn", "json", "command") and v is not None}
     out = _Emit(args.command, as_json, inputs)
     try:
         return out.close(args.fn(args, out))

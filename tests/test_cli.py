@@ -111,6 +111,17 @@ def test_embed_json_stats_count_the_embeddings(capsys):
     assert json.loads(out)["stats"]["embeddings"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["complement", "aba", "a", "--counts", "--table"], ["embed", "aba", "a", "--count", "--group"]],
+)
+def test_conflicting_output_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_archfac_golden(capsys):
     code, out, _ = run(capsys, "archfac", "abcabc")
     assert code == 0
@@ -123,6 +134,9 @@ def test_archfac_with_alphabet_codec(capsys):
     assert out.splitlines() == ["bn|bn", "rest=", "modus=nn", "iota=2"]
     code, _, err = run(capsys, "archfac", "bnbn", "--alphabet", "xy")
     assert code == 2
+    code, out, err = run(capsys, "archfac", "abc", "--alphabet", "")
+    assert (code, out) == (2, "")
+    assert "at least one letter" in err
 
 
 def test_find_u_round_trip(tmp_path, capsys):
@@ -333,6 +347,21 @@ def test_verify_reports_failures_with_exit_one(capsys):
     assert "FAIL" in out
 
 
+def rendered(result):
+    """The one rule that turns a --json result into plain output."""
+    if result is None:
+        lines = ["no solution"]
+    elif isinstance(result, bool):
+        lines = ["true" if result else "false"]
+    elif isinstance(result, dict):
+        lines = [f"{k}\t{v}" for k, v in result.items()]
+    elif isinstance(result, list):
+        lines = [",".join(map(str, x)) if isinstance(x, list) else str(x) for x in result]
+    else:
+        lines = [str(result)]
+    return "".join(line + "\n" for line in lines)
+
+
 def test_plain_and_json_results_agree(tmp_path, capsys):
     cases = [
         ("complement", "ananas", "as"),
@@ -351,6 +380,28 @@ def test_plain_and_json_results_agree(tmp_path, capsys):
             assert plain.splitlines()[0] == "|".join(result["arches"])
         else:
             assert plain.splitlines() == result
+        if argv[0] != "archfac":
+            assert plain == rendered(result)
+    # the edge forms of the rule: empty words, empty lists, counts, bools, None
+    solvable, unsolvable = tmp_path / "u.txt", tmp_path / "none.txt"
+    solvable.write_text("ab\n")  # C(ab, u) = {ab} holds only for the empty u
+    unsolvable.write_text("a\nb\n")
+    edges = [
+        (("complement", "aa", "aa"), 0, "\n", [""]),
+        (("complement", "ab", "ab", "--counts"), 0, "\t1\n", {"": 1}),
+        (("perfect-shuffle", "", ""), 0, "\n", ""),
+        (("shuffle", "", ""), 0, "\n", [""]),
+        (("embed", "ab", "ba"), 1, "", []),
+        (("embed", "peelwheel", "peel", "--count"), 0, "7\n", 7),
+        (("self-shuffle", "aabbaa", "aab"), 1, "false\n", False),
+        (("find-u", "ab", "--set-file", str(solvable)), 0, "\n", ""),
+        (("find-u", "ab", "--set-file", str(unsolvable)), 1, "no solution\n", None),
+    ]
+    for argv, code, plain, result in edges:
+        assert run(capsys, *argv) == (code, plain, "")
+        json_code, enveloped, _ = run(capsys, "--json", *argv)
+        assert (json_code, json.loads(enveloped)["result"]) == (code, result)
+        assert plain == rendered(result)
 
 
 def test_unexpected_exception_exits_two_without_traceback(monkeypatch, capsys):
