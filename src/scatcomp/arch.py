@@ -66,19 +66,15 @@ def arch_factorize(w: Sequence[int], alphabet=None) -> ArchFactorization:
     sigma = _resolve_sigma(w, alphabet)
     w = tuple(w)
     arches: list[Word] = []
-    if sigma:
-        missing = set(sigma)
-        start = 0
-        for pos, a in enumerate(w):
-            missing.discard(a)
-            if not missing:
-                arches.append(Word(w[start : pos + 1]))
-                start = pos + 1
-                missing = set(sigma)
-        rest = Word(w[start:])
-    else:
-        rest = Word(w)
-    return ArchFactorization(tuple(arches), rest)
+    missing = set(sigma)
+    start = 0
+    for pos, a in enumerate(w):
+        missing.discard(a)
+        if not missing:
+            arches.append(Word(w[start : pos + 1]))
+            start = pos + 1
+            missing = set(sigma)
+    return ArchFactorization(tuple(arches), Word(w[start:]))
 
 
 def universality_index(w: Sequence[int], alphabet=None) -> int:

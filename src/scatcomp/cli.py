@@ -150,15 +150,10 @@ def _cmd_archfac(args, out: _Emit) -> int:
     return 0
 
 
-def _infer(texts: list[str]) -> Alphabet:
-    return Alphabet.inferred(texts) if any(texts) else Alphabet("a")
-
-
 def _load_set(path, *extra_texts: str) -> tuple[list, Alphabet]:
     """Words of a set file plus any positional words, in one shared codec."""
     lines, alpha = read_word_lines(path)
-    if alpha is None:
-        alpha = _infer([*lines, *extra_texts])
+    alpha = alpha or Alphabet.inferred([*lines, *extra_texts])
     return [alpha.encode(ln) for ln in lines], alpha
 
 
@@ -195,8 +190,7 @@ def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
         rows.append(parts)
     if not rows:
         raise ScatcompError(f"{path}: no pairs")
-    if alpha is None:
-        alpha = _infer([p for row in rows for p in row])
+    alpha = alpha or Alphabet.inferred([p for row in rows for p in row])
     return [(alpha.encode(v), alpha.encode(u)) for v, u in rows], alpha
 
 
@@ -234,11 +228,7 @@ def _cmd_self_shuffle(args, out: _Emit) -> int:
 
 
 def _cmd_verify(args, out: _Emit) -> int:
-    names = verify_mod.available_suites()
-    if args.suite != "all":
-        if args.suite not in names:
-            raise ScatcompError(f"unknown suite {args.suite!r}; available: all, " + ", ".join(names))
-        names = [args.suite]
+    names = verify_mod.available_suites() if args.suite == "all" else [args.suite]
     reports = verify_mod.run_suites(names, max_len=args.max_len, sigma=args.sigma, seed=args.seed)
     out.result = [
         {

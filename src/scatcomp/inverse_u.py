@@ -52,9 +52,7 @@ def find_u(
     budget: int = DEFAULT_BUDGET,
 ) -> Word | None:
     """Lexicographically least u with C(w, u) exactly S, or None."""
-    for u in _verified_candidates(w, S, budget):
-        return u
-    return None
+    return next(_verified_candidates(w, S, budget), None)
 
 
 def find_u_all(

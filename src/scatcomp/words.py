@@ -48,29 +48,6 @@ class Word(tuple):
 
 EMPTY = Word()
 
-_ORD_A = ord("a")
-_LETTER = {c: chr(_ORD_A + c - 1) for c in range(1, 27)}
-
-
-def word(s: str) -> Word:
-    """Convenience constructor mapping 'a'..'z' to codes 1..26."""
-    codes = []
-    for ch in s:
-        c = ord(ch) - _ORD_A + 1
-        if not 1 <= c <= 26:
-            raise WordSyntaxError(f"letter {ch!r} outside a..z; use an Alphabet")
-        codes.append(c)
-    return Word(codes)
-
-
-def text(w: Sequence[int]) -> str:
-    """Inverse of word(): render codes 1..26 as 'a'..'z'."""
-    try:
-        return "".join(_LETTER[a] for a in w)
-    except (KeyError, TypeError):
-        raise WordSyntaxError(f"word {w!r} has codes outside 1..26")
-
-
 class Alphabet:
     """Bijection between display letters and codes 1..sigma.
 
@@ -80,7 +57,7 @@ class Alphabet:
     only ever see codes.
     """
 
-    __slots__ = ("_letters", "_code_of")
+    __slots__ = ("_letters", "_code_of", "_letter_of")
 
     def __init__(self, letters: Iterable[str]):
         letters = tuple(letters)
@@ -92,14 +69,13 @@ class Alphabet:
             raise WordSyntaxError(f"duplicate letters in alphabet {''.join(letters)!r}")
         self._letters = letters
         self._code_of = {ch: i + 1 for i, ch in enumerate(letters)}
+        self._letter_of = {i + 1: ch for i, ch in enumerate(letters)}
 
     @classmethod
     def inferred(cls, texts: Iterable[str]) -> "Alphabet":
-        """Alphabet of the sorted distinct characters occurring in texts."""
-        chars = sorted(set().union(*map(set, list(texts))))
-        if not chars:
-            raise WordSyntaxError("cannot infer an alphabet from empty input")
-        return cls(chars)
+        """Alphabet of the sorted distinct characters occurring in texts, or
+        Alphabet("a") when texts hold no character at all."""
+        return cls(sorted(set().union(*map(set, list(texts)))) or "a")
 
     @property
     def size(self) -> int:
@@ -124,15 +100,26 @@ class Alphabet:
             ) from None
 
     def decode(self, w: Sequence[int]) -> str:
-        out = []
-        for a in w:
-            if not 1 <= a <= len(self._letters):
-                raise WordSyntaxError(f"code {a} outside alphabet of size {len(self._letters)}")
-            out.append(self._letters[a - 1])
-        return "".join(out)
+        try:
+            return "".join(self._letter_of[a] for a in w)
+        except (KeyError, TypeError):
+            raise WordSyntaxError(f"word {w!r} has codes outside 1..{len(self._letters)}") from None
 
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self._letters)!r})"
+
+
+_AZ = Alphabet("abcdefghijklmnopqrstuvwxyz")
+
+
+def word(s: str) -> Word:
+    """Convenience constructor mapping 'a'..'z' to codes 1..26."""
+    return _AZ.encode(s)
+
+
+def text(w: Sequence[int]) -> str:
+    """Inverse of word(): render codes 1..26 as 'a'..'z'."""
+    return _AZ.decode(w)
 
 
 def letters(w: Sequence[int]) -> frozenset[int]:
@@ -206,6 +193,5 @@ def read_word_lines(path) -> tuple[list[str], Alphabet | None]:
 def read_word_file(path) -> tuple[list[Word], Alphabet]:
     """Read a word file, inferring the alphabet from its letters if no header."""
     lines, alphabet = read_word_lines(path)
-    if alphabet is None:
-        alphabet = Alphabet.inferred(lines)
+    alphabet = alphabet or Alphabet.inferred(lines)
     return [alphabet.encode(ln) for ln in lines], alphabet

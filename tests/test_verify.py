@@ -8,6 +8,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from scatcomp import verify
+from scatcomp.errors import ScatcompError
 from scatcomp.verify import available_suites, canonical_words, run_suite, run_suites
 
 
@@ -28,7 +29,7 @@ def test_registry_is_complete():
 
 
 def test_unknown_suite_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ScatcompError):
         run_suite("nope")
 
 

@@ -70,6 +70,8 @@ def test_alphabet_codec():
         alpha.encode("banz")
     with pytest.raises(WordSyntaxError):
         alpha.decode((4,))
+    with pytest.raises(WordSyntaxError):
+        alpha.decode((1, "a"))
 
 
 def test_alphabet_rejects_duplicates_and_empties():
@@ -84,6 +86,7 @@ def test_alphabet_rejects_duplicates_and_empties():
 def test_alphabet_inferred_sorts_letters():
     alpha = Alphabet.inferred(["ban", "nab"])
     assert alpha.letters == ("a", "b", "n")
+    assert Alphabet.inferred([""]).letters == ("a",)
 
 
 def test_is_scattered_factor():
@@ -113,6 +116,13 @@ def test_read_word_file_plain(tmp_path):
     words, alpha = read_word_file(p)
     assert words == [word("ba"), word("ab")]
     assert alpha.letters == ("a", "b")
+
+
+def test_read_word_file_of_only_the_empty_word(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text("\n")
+    words, alpha = read_word_file(p)
+    assert (words, alpha.letters) == ([Word()], ("a",))
 
 
 def test_read_word_file_header_codec(tmp_path):
