@@ -93,7 +93,7 @@ class Alphabet:
 
     def encode(self, s: str) -> Word:
         try:
-            return Word(self._code_of[ch] for ch in s)
+            return Word(map(self._code_of.__getitem__, s))
         except KeyError as exc:
             raise WordSyntaxError(
                 f"letter {exc.args[0]!r} not in alphabet {''.join(self._letters)!r}"
@@ -101,7 +101,7 @@ class Alphabet:
 
     def decode(self, w: Sequence[int]) -> str:
         try:
-            return "".join(self._letter_of[a] for a in w)
+            return "".join(map(self._letter_of.__getitem__, w))
         except (KeyError, TypeError):
             raise WordSyntaxError(f"word {w!r} has codes outside 1..{len(self._letters)}") from None
 
