@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from .errors import WordSyntaxError
 from .words import Alphabet, Word, letters
 
 
@@ -22,7 +23,7 @@ def _resolve_sigma(w: Sequence[int], alphabet) -> frozenset[int]:
     else:
         sigma = frozenset(alphabet)
     if not letters(w) <= sigma:
-        raise ValueError(f"alphabet {sorted(sigma)} does not cover the letters of {w!r}")
+        raise WordSyntaxError(f"alphabet {sorted(sigma)} does not cover the letters of {w!r}")
     return sigma
 
 
@@ -80,8 +81,3 @@ def arch_factorize(w: Sequence[int], alphabet=None) -> ArchFactorization:
 def universality_index(w: Sequence[int], alphabet=None) -> int:
     """Number of arches of w; 0 when some alphabet letter is missing from w."""
     return len(arch_factorize(w, alphabet).arches)
-
-
-def inner(f: ArchFactorization, i: int) -> Word:
-    """Arch i of f without its final letter (1-based)."""
-    return f.inner(i)

@@ -33,7 +33,7 @@ from .embeddings import count_embeddings, enumerate_embeddings, group_equal_comp
 from .errors import BudgetExceeded, ScatcompError
 from .inverse_u import find_u, find_u_all
 from .shuffle import is_self_shuffle_complement, perfect_shuffle, shuffle_set
-from .words import Alphabet, read_numbered_lines, read_word_lines, text, word
+from .words import Alphabet, read_numbered_lines, read_word_file, text, word
 
 
 def _budget_kwargs() -> dict:
@@ -96,13 +96,10 @@ def _cmd_complement(args, out: _Emit) -> int:
     w, u = word(args.w), word(args.u)
     bk = _budget_kwargs()
     if args.table:
-        table = complement_table(w, u, **bk)
-        rows = []
-        for i in range(1, len(u) + 2):
-            cells = ["{" + ",".join(sorted(text(v) for v in table.cell(i, j))) + "}"
-                     for j in range(1, len(w) + 1)]
-            rows.append(" ".join(cells))
-            out.say(f"P[{i}] {rows[-1]}")
+        rows = [" ".join("{" + ",".join(sorted(map(text, cell))) + "}" for cell in row)
+                for row in complement_table(w, u, **bk).rows()]
+        for i, row in enumerate(rows, 1):
+            out.say(f"P[{i}] {row}")
         out.result = {"rows": rows}
         return 0
     cs = complement_set_with_multiplicity(w, u, **bk) if args.counts else complement_set(w, u, **bk)
@@ -150,13 +147,6 @@ def _cmd_archfac(args, out: _Emit) -> int:
     return 0
 
 
-def _load_set(path, *extra_texts: str) -> tuple[list, Alphabet]:
-    """Words of a set file plus any positional words, in one shared codec."""
-    lines, alpha = read_word_lines(path)
-    alpha = alpha or Alphabet.inferred([*lines, *extra_texts])
-    return [alpha.encode(ln) for ln in lines], alpha
-
-
 def _word_or_none(out: _Emit, alpha: Alphabet, w) -> int:
     """Set the decoded word, or None for no solution, as the result."""
     out.result = None if w is None else alpha.decode(w)
@@ -164,7 +154,7 @@ def _word_or_none(out: _Emit, alpha: Alphabet, w) -> int:
 
 
 def _cmd_find_u(args, out: _Emit) -> int:
-    S, alpha = _load_set(args.set_file, args.w)
+    S, alpha = read_word_file(args.set_file, args.w)
     w = alpha.encode(args.w)
     out.stats["set_size"] = len(S)
     bk = _budget_kwargs()
@@ -201,7 +191,7 @@ def _cmd_exists_w(args, out: _Emit) -> int:
 
 
 def _cmd_find_w(args, out: _Emit) -> int:
-    S, alpha = _load_set(args.set_file, args.u)
+    S, alpha = read_word_file(args.set_file, args.u)
     u = alpha.encode(args.u)
     out.stats["set_size"] = len(S)
     return _word_or_none(out, alpha, find_w(u, S, **_budget_kwargs()))

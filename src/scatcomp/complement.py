@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import BudgetExceeded, DEFAULT_BUDGET, NotAScatteredFactor
+from .errors import BudgetExceeded, DEFAULT_BUDGET, NotAScatteredFactor, WordSyntaxError
 from .words import Word, is_scattered_factor
 
 
@@ -84,18 +84,21 @@ def _codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callable[[by
     """(encode, decode) for keys over the letter codes in `codes`: encode
     maps a letter to its chunk, decode maps a key back to its word."""
     try:
-        bytes(codes)  # raises ValueError unless every code is in 0..255
-    except ValueError:
+        bytes(codes)  # raises unless every code is an int in 0..255
+    except (ValueError, TypeError):
         return _wide_codec(codes)
     return _byte, Word
 
 
 def _wide_codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callable[[bytes], Word]]:
     """`_codec` with chunks as wide as the widest code, two's complement
-    when a code is negative."""
-    lo, hi = min(codes), max(codes)
-    signed = lo < 0
-    width = (max(lo.bit_length(), hi.bit_length()) + signed + 7) // 8
+    when a code is negative; a code that is not an int is a WordSyntaxError."""
+    try:
+        bits = max(map(int.bit_length, codes))
+    except TypeError:
+        raise WordSyntaxError(f"letter codes must be ints, got {codes!r}") from None
+    signed = min(codes) < 0
+    width = (bits + signed + 7) // 8
 
     def encode(a: int) -> bytes:
         return a.to_bytes(width, "big", signed=signed)

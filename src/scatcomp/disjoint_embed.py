@@ -47,7 +47,7 @@ def _interleavings(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> Iterator[Word]
     BudgetExceeded when the search pushes more than `budget` states."""
     pairs = [(tuple(v), tuple(u)) for v, u in pairs]
     if not pairs:
-        raise ValueError("need at least one pair")
+        raise LengthMismatch("need at least one pair")
     lengths = {len(v) + len(u) for v, u in pairs}
     if len(lengths) != 1:
         raise LengthMismatch(f"pairs disagree on total length: {sorted(lengths)}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import comb
 
-from .errors import BudgetExceeded, DEFAULT_BUDGET
+from .errors import BudgetExceeded, DEFAULT_BUDGET, ScatcompError
 from .words import Word
 
 Embedding = tuple[int, ...]
@@ -88,7 +88,7 @@ def complement_of_embedding(w: Sequence[int], e: Sequence[int]) -> Word:
     prev = 0
     for p in e:
         if not (isinstance(p, int) and prev < p <= n):
-            raise ValueError(f"invalid embedding {tuple(e)} for a word of length {n}")
+            raise ScatcompError(f"invalid embedding {tuple(e)} for a word of length {n}")
         prev = p
     chosen = set(e)
     return Word(a for j, a in enumerate(w, 1) if j not in chosen)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import comb
 
 from .complement import ComplementSet
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, LengthMismatch
 from .shuffle import in_shuffle
 from .words import Word
 
@@ -62,10 +62,10 @@ def brute_exists_word(
     """
     plist = [(tuple(v), tuple(u)) for v, u in pairs]
     if not plist:
-        raise ValueError("need at least one pair")
+        raise LengthMismatch("need at least one pair")
     lengths = {len(v) + len(u) for v, u in plist}
     if len(lengths) != 1:
-        raise ValueError(f"pairs disagree on total length: {sorted(lengths)}")
+        raise LengthMismatch(f"pairs disagree on total length: {sorted(lengths)}")
     n = lengths.pop()
     codes = sorted(set(alphabet))
     if n > BRUTE_MAX_LEN or len(codes) > BRUTE_MAX_SIGMA:

@@ -726,7 +726,7 @@ def run_suites(names, max_len=None, sigma=None, seed=None) -> list[SuiteReport]:
     for nm in names:
         suite = _SUITES.get(nm)
         if suite is None:
-            raise ScatcompError(f"unknown suite {nm!r}; available: all, {', '.join(available_suites())}")
+            raise ScatcompError(f"unknown suite {nm!r}; available: {', '.join(available_suites())}")
         if max_len is not None and max_len < suite.min_len:
             raise ScatcompError(f"--max-len must be at least {suite.min_len} for {nm}, got {max_len}")
         if sigma is not None and sigma < suite.min_sigma:

@@ -41,9 +41,10 @@ class Word(tuple):
         return Word(tuple.__mul__(self, k))
 
     def __repr__(self) -> str:
-        if self and all(1 <= a <= 26 for a in self):
-            return f"word({text(self)!r})"
-        return f"Word({list(self)!r})"
+        try:
+            return f"word({_AZ.decode(self)!r})" if self else "Word([])"
+        except WordSyntaxError:
+            return f"Word({list(self)!r})"
 
 
 EMPTY = Word()
@@ -103,7 +104,7 @@ class Alphabet:
         try:
             return "".join(map(self._letter_of.__getitem__, w))
         except (KeyError, TypeError):
-            raise WordSyntaxError(f"word {w!r} has codes outside 1..{len(self._letters)}") from None
+            raise WordSyntaxError(f"word {tuple(w)!r} has codes outside 1..{len(self._letters)}") from None
 
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self._letters)!r})"
@@ -137,7 +138,7 @@ def _equal_length_words(S: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """S as a list of tuples; S must hold at least one word, all of one length."""
     vs = [tuple(v) for v in S]
     if not vs:
-        raise ValueError("S must contain at least one word")
+        raise LengthMismatch("S must contain at least one word")
     lengths = {len(v) for v in vs}
     if len(lengths) != 1:
         raise LengthMismatch(f"words in S have different lengths: {sorted(lengths)}")
@@ -190,8 +191,9 @@ def read_word_lines(path) -> tuple[list[str], Alphabet | None]:
     return [line for _, line in numbered], alphabet
 
 
-def read_word_file(path) -> tuple[list[Word], Alphabet]:
-    """Read a word file, inferring the alphabet from its letters if no header."""
+def read_word_file(path, *texts: str) -> tuple[list[Word], Alphabet]:
+    """Read a word file under its header's alphabet, else one inferred from
+    its letters and those of texts, words that must share its codec."""
     lines, alphabet = read_word_lines(path)
-    alphabet = alphabet or Alphabet.inferred(lines)
+    alphabet = alphabet or Alphabet.inferred([*lines, *texts])
     return [alphabet.encode(ln) for ln in lines], alphabet

@@ -1,6 +1,7 @@
 import pytest
 
-from scatcomp.arch import arch_factorize, inner, universality_index
+from scatcomp.arch import arch_factorize, universality_index
+from scatcomp.errors import WordSyntaxError
 from scatcomp.words import Alphabet, letters, word
 
 
@@ -29,7 +30,7 @@ def test_alphabet_argument_widens_sigma():
 
 
 def test_alphabet_must_cover_word():
-    with pytest.raises(ValueError):
+    with pytest.raises(WordSyntaxError):
         arch_factorize(word("abc"), Alphabet("ab"))
 
 
@@ -42,7 +43,7 @@ def test_empty_word():
 def test_inner_strips_last_letter():
     f = arch_factorize(word("aabcabc"))
     assert f.inner(1) == word("aab")
-    assert inner(f, 2) == word("ab")
+    assert f.inner(2) == word("ab")
     with pytest.raises(IndexError):
         f.inner(3)
 

@@ -63,7 +63,7 @@ def test_total_lengths_must_agree():
 
 
 def test_empty_pair_list_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch):
         exists_word([])
 
 
@@ -85,7 +85,7 @@ def test_find_w_none_when_every_witness_overshoots():
 
 
 def test_find_w_rejects_an_empty_set_and_mixed_lengths():
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch):
         find_w(word("ab"), [])
     with pytest.raises(LengthMismatch):
         find_w(word("ab"), [word("a"), word("ba")])

@@ -10,7 +10,7 @@ from scatcomp.embeddings import (
     enumerate_embeddings,
     group_equal_complements,
 )
-from scatcomp.errors import BudgetExceeded
+from scatcomp.errors import BudgetExceeded, ScatcompError
 from scatcomp.words import word
 
 
@@ -58,9 +58,9 @@ def test_complement_of_embedding():
     # deleting the embedding (1, 3) from aba leaves position 2
     assert complement_of_embedding(word("aba"), (1, 3)) == word("b")
     assert complement_of_embedding(word("abc"), ()) == word("abc")
-    with pytest.raises(ValueError):
+    with pytest.raises(ScatcompError):
         complement_of_embedding(word("abc"), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ScatcompError):
         complement_of_embedding(word("abc"), (4,))
 
 

@@ -45,7 +45,7 @@ def test_candidate_set_is_the_intersection():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch):
         find_u(word("ab"), [])
     with pytest.raises(LengthMismatch):
         find_u(word("abc"), [word("a"), word("ab")])

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from scatcomp.complement import complement_set, complement_set_with_multiplicity
-from scatcomp.errors import BudgetExceeded
+from scatcomp.errors import BudgetExceeded, LengthMismatch
 from scatcomp.oracle import (
     _complement_census,
     brute_all_scattered_factors,
@@ -59,9 +59,9 @@ def test_brute_exists_word_scans_in_code_order():
 
 
 def test_brute_exists_word_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch):
         brute_exists_word([], (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch):
         brute_exists_word([(word("a"), word("b")), (word("ab"), word("ba"))], (1, 2))
     with pytest.raises(BudgetExceeded):
         brute_exists_word([(Word((1,)) * 6, Word((1,)) * 6)], range(1, 5))

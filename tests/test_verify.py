@@ -33,6 +33,13 @@ def test_unknown_suite_raises():
         run_suite("nope")
 
 
+def test_unknown_suite_message_offers_only_python_names():
+    # "all" is a CLI word, not a suite name
+    with pytest.raises(ScatcompError) as exc:
+        run_suite("all")
+    assert str(exc.value) == f"unknown suite 'all'; available: {', '.join(available_suites())}"
+
+
 def test_canonical_words_count_matters():
     # canonical representatives: first occurrences of letters appear in
     # increasing code order; over two letters that halves the full count
