@@ -168,14 +168,14 @@ def _cmd_find_u(args, out: _Emit) -> int:
 
 
 def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
-    """Tab-separated (v, u) pairs, one per line, under one shared codec."""
+    """Tab-separated (v, u) pairs, one per line, no other whitespace, under one shared codec."""
     numbered, alpha = read_numbered_lines(path)
     rows = []
     for lineno, line in numbered:
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 2 or any(p != p.strip() for p in parts):
+        if len(parts) != 2 or any(map(str.isspace, "".join(parts))):
             raise ScatcompError(f"{path}:{lineno}: expected 'v<TAB>u', got {line!r}")
         rows.append(parts)
     if not rows:
@@ -218,7 +218,10 @@ def _cmd_self_shuffle(args, out: _Emit) -> int:
 
 
 def _cmd_verify(args, out: _Emit) -> int:
-    names = verify_mod.available_suites() if args.suite == "all" else [args.suite]
+    suites = verify_mod.available_suites()
+    if args.suite != "all" and args.suite not in suites:
+        raise ScatcompError(f"unknown suite {args.suite!r}; available: all, {', '.join(suites)}")
+    names = suites if args.suite == "all" else [args.suite]
     reports = verify_mod.run_suites(names, max_len=args.max_len, sigma=args.sigma, seed=args.seed)
     out.result = [
         {

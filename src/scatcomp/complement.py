@@ -40,8 +40,8 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import BudgetExceeded, DEFAULT_BUDGET, NotAScatteredFactor, WordSyntaxError
-from .words import Word, is_scattered_factor
+from .errors import BudgetExceeded, DEFAULT_BUDGET, WordSyntaxError
+from .words import Word, _factor_pair
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,25 @@ class ComplementSet:
 # --- cell keys --------------------------------------------------------------
 #
 # The kernels below take w as `ct`, the tuple of its letters' chunks, and a
-# row letter as its chunk; `_codec` gives the chunk of a letter and decodes a
-# key.  Width-1 chunks come from a table of the 256 one-byte strings, so
-# encoding costs no call per cell.
+# row letter as its chunk; `_codec` gives `ct`, the chunk of a letter and
+# the decoder of a key.  Width-1 chunks come from a table of the 256
+# one-byte strings, so encoding costs no call per cell.
 
 _byte = tuple(bytes((c,)) for c in range(256)).__getitem__
 
 
-def _codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callable[[bytes], Word]]:
-    """(encode, decode) for keys over the letter codes in `codes`: encode
-    maps a letter to its chunk, decode maps a key back to its word."""
+def _codec(
+    w: tuple[int, ...], u: tuple[int, ...] = ()
+) -> tuple[tuple[bytes, ...], Callable[[int], bytes], Callable[[bytes], Word]]:
+    """(ct, encode, decode) for keys over the letter codes of w and u: ct is w
+    as chunks, encode maps a letter to its chunk, decode a key to its word."""
+    codes = w + u
     try:
         bytes(codes)  # raises unless every code is an int in 0..255
+        enc, dec = _byte, Word
     except (ValueError, TypeError):
-        return _wide_codec(codes)
-    return _byte, Word
+        enc, dec = _wide_codec(codes)
+    return tuple(map(enc, w)), enc, dec
 
 
 def _wide_codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callable[[bytes], Word]]:
@@ -195,11 +199,8 @@ def complement_set(
     w: Sequence[int], u: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> ComplementSet:
     """C(w, u) as a plain set of words; u must be a scattered factor of w."""
-    wt, ut = tuple(w), tuple(u)
-    if not is_scattered_factor(ut, wt):
-        raise NotAScatteredFactor(f"{Word(ut)!r} is not a scattered factor of {Word(wt)!r}")
-    enc, dec = _codec(wt)
-    ct = tuple(map(enc, wt))
+    wt, ut = _factor_pair(w, u)
+    ct, enc, dec = _codec(wt, ut)
     tracker = [0]
     row = _first_row(ct)
     for x in ut:
@@ -246,8 +247,7 @@ def complement_table(
 ) -> PrefixTable:
     """The whole prefix table, for inspection; no scattered-factor precondition."""
     wt, ut = tuple(w), tuple(u)
-    enc, dec = _codec(wt + ut)  # u may hold letters that w lacks
-    ct = tuple(map(enc, wt))
+    ct, enc, dec = _codec(wt, ut)
     tracker = [0]
     rows = [_first_row(ct)]
     for x in ut:
@@ -323,15 +323,12 @@ def complement_set_with_multiplicity(
     w: Sequence[int], u: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> ComplementSet:
     """C(w, u) with the number of embeddings producing each complement word."""
-    wt, ut = tuple(w), tuple(u)
-    if not is_scattered_factor(ut, wt):
-        raise NotAScatteredFactor(f"{Word(ut)!r} is not a scattered factor of {Word(wt)!r}")
+    wt, ut = _factor_pair(w, u)
     # first[i]: length of the shortest prefix of w containing u[:i]
     first = [0]
     for x in ut:
         first.append(wt.index(x, first[-1]) + 1)
-    enc, dec = _codec(wt)
-    ct = tuple(map(enc, wt))
+    ct, enc, dec = _codec(wt, ut)
     tracker = [0]
     row = _last_row(ct)
     for i in reversed(range(len(ut))):

@@ -14,17 +14,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .complement import complement_set
-from .errors import DEFAULT_BUDGET, NotAScatteredFactor
+from .errors import DEFAULT_BUDGET
 from .shuffle import in_shuffle
-from .words import Word, _equal_length_words, is_scattered_factor
-
-
-def _checked_set(w, S) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    wt, vs = tuple(w), _equal_length_words(S)
-    for v in vs:
-        if not is_scattered_factor(v, wt):
-            raise NotAScatteredFactor(f"{Word(v)!r} is not a scattered factor of {Word(wt)!r}")
-    return wt, vs
+from .words import Word, _equal_length_words, _factor_pair
 
 
 def candidate_set(
@@ -38,7 +30,9 @@ def candidate_set(
     S.  Only the v0 table is charged against `budget`, so BudgetExceeded
     comes from that table alone.
     """
-    wt, vs = _checked_set(w, S)
+    wt, vs = tuple(w), _equal_length_words(S)
+    for v in vs:
+        _factor_pair(wt, v)
     v0 = min(vs)
     rest = set(vs) - {v0}
     return frozenset(

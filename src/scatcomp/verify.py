@@ -84,21 +84,14 @@ def _fmt(t) -> str:
     return text(t) if t else "''"
 
 
-def canonical_words(n: int, sigma: int):
+def canonical_words(n: int, sigma: int) -> list[tuple[int, ...]]:
     """Words of length n over codes 1..sigma whose letters first occur in
-    increasing order; one representative per relabeling class."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(prefix: tuple[int, ...], top: int):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for a in range(1, min(top + 1, sigma) + 1):
-            yield from rec(prefix + (a,), max(top, a))
-
-    yield from rec((), 0)
+    increasing order, in lexicographic order; one representative per
+    relabeling class."""
+    words = [()]
+    for _ in range(n):
+        words = [v + (a,) for v in words for a in range(1, min(max(v, default=0) + 1, sigma) + 1)]
+    return words
 
 
 class _Lab:
@@ -124,8 +117,7 @@ def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None)
     factor of w at once (the table rows for u extend those for its prefixes).
     Also checks that every complement word has length |w| - |u|."""
     wt, n, census = lab.wt, lab.n, lab.census
-    enc, dec = _c._codec(wt)
-    ct = tuple(map(enc, wt))
+    ct, enc, dec = _c._codec(wt)
     tracker = [0]
     alpha = sorted(set(wt))
 
@@ -161,8 +153,7 @@ def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None)
     """Suffix-matching algorithm vs the subset census, embedding counts
     included; multiplicities must also sum to the embedding-count table."""
     wt, census = lab.wt, lab.census
-    enc, dec = _c._codec(wt)
-    ct = tuple(map(enc, wt))
+    ct, enc, dec = _c._codec(wt)
     tracker = [0]
     alpha = sorted(set(wt))
 

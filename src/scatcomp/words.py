@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import groupby
 
-from .errors import LengthMismatch, WordSyntaxError
+from .errors import LengthMismatch, NotAScatteredFactor, WordSyntaxError
 
 
 class Word(tuple):
@@ -46,8 +46,6 @@ class Word(tuple):
         except WordSyntaxError:
             return f"Word({list(self)!r})"
 
-
-EMPTY = Word()
 
 class Alphabet:
     """Bijection between display letters and codes 1..sigma.
@@ -106,6 +104,14 @@ class Alphabet:
         except (KeyError, TypeError):
             raise WordSyntaxError(f"word {tuple(w)!r} has codes outside 1..{len(self._letters)}") from None
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Alphabet):
+            return self._letters == other._letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._letters)
+
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self._letters)!r})"
 
@@ -132,6 +138,14 @@ def is_scattered_factor(u: Sequence[int], w: Sequence[int]) -> bool:
     """True iff u can be obtained from w by deleting letters (greedy scan)."""
     it = iter(w)
     return all(a in it for a in u)
+
+
+def _factor_pair(w: Sequence[int], u: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(w, u) as tuples; u must be a scattered factor of w."""
+    wt, ut = tuple(w), tuple(u)
+    if not is_scattered_factor(ut, wt):
+        raise NotAScatteredFactor(f"{Word(ut)!r} is not a scattered factor of {Word(wt)!r}")
+    return wt, ut
 
 
 def _equal_length_words(S: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -210,10 +210,11 @@ def test_exists_w_honours_the_budget(tmp_path, capsys, monkeypatch):
 
 def test_exists_w_rejects_malformed_pairs(tmp_path, capsys):
     f = tmp_path / "z.tsv"
-    f.write_text("ba ab\n")
-    code, _, err = run(capsys, "exists-w", "--pairs", str(f))
-    assert code == 2
-    assert ":1:" in err
+    for content in ("ba ab\n", "a b\tab b\n"):  # no tab; whitespace inside a word
+        f.write_text(content)
+        code, _, err = run(capsys, "exists-w", "--pairs", str(f))
+        assert code == 2
+        assert ":1:" in err
 
 
 def test_exists_w_rejects_a_file_of_blank_lines(tmp_path, capsys):
@@ -309,6 +310,11 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
     assert "unknown suite" in err
+    assert "available: all, " in err
+    code, out, err = run(capsys, "--json", "verify", "nope")
+    env = json.loads(out)
+    assert code == env["exit"] == 2 and env["error"]["type"] == "ScatcompError"
+    assert "available: all, " in err
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 Each public function is called with every combination of values from a
 fixed pool per parameter name.  The pools hold well-formed but invalid
-inputs next to valid ones: non-positive and wide codes, a non-int code,
-empty and mixed-length sets, empty and mismatched pair lists, bad
+inputs next to valid ones: non-positive and wide codes, non-int codes
+(one equal to an int code), empty and mixed-length sets, empty and mismatched pair lists, bad
 embeddings and budgets down to 0.  Classes, the file readers and the suite
 runners are left out; their own tests cover them.
 """
@@ -14,9 +14,18 @@ from itertools import product
 import pytest
 
 import scatcomp
-from scatcomp import NotAScatteredFactor, ScatcompError, Word, complement_set, word
+from scatcomp import (
+    NotAScatteredFactor,
+    ScatcompError,
+    Word,
+    WordSyntaxError,
+    complement_set,
+    complement_set_with_multiplicity,
+    find_u,
+    word,
+)
 
-WORDS = [(), (1,), (1, 2), (0,), (-1, 1), (2**40, 1), (1.5,), (27,)]
+WORDS = [(), (1,), (1, 2), (0,), (-1, 1), (2**40, 1), (1.5,), (27,), (2.0,), (1, 2.0)]
 
 POOLS = {
     "w": WORDS,
@@ -67,3 +76,16 @@ def test_repr_asks_the_a_to_z_codec():
 def test_error_about_a_non_int_letter_does_not_recurse():
     with pytest.raises(NotAScatteredFactor):
         complement_set((), (1.5,))
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (complement_set, ((1, 2), (2.0,))),
+        (complement_set_with_multiplicity, ((1, 2), (2.0,))),
+        (find_u, ((1, 2), [(2.0,)])),
+    ],
+)
+def test_a_float_letter_equal_to_a_code_is_a_syntax_error(fn, args):
+    with pytest.raises(WordSyntaxError):
+        fn(*args)

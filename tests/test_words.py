@@ -89,6 +89,14 @@ def test_alphabet_inferred_sorts_letters():
     assert Alphabet.inferred([""]).letters == ("a",)
 
 
+def test_alphabets_with_equal_letters_are_equal():
+    assert Alphabet("ab") == Alphabet("ab")
+    assert Alphabet("ab") != Alphabet("ba")
+    assert Alphabet("ab") != ("a", "b")
+    assert hash(Alphabet("ab")) == hash(Alphabet("ab"))
+    assert len({Alphabet("ab"), Alphabet("ab"), Alphabet("ba")}) == 2
+
+
 def test_is_scattered_factor():
     assert is_scattered_factor(word("as"), word("ananas"))
     assert is_scattered_factor(word(""), word("ab"))
@@ -123,6 +131,7 @@ def test_read_word_file_of_only_the_empty_word(tmp_path):
     p.write_text("\n")
     words, alpha = read_word_file(p)
     assert (words, alpha.letters) == ([Word()], ("a",))
+    assert alpha == Alphabet("a")
 
 
 def test_read_word_file_header_codec(tmp_path):
