@@ -100,7 +100,8 @@ def _wide_codec(codes: tuple[int, ...]) -> tuple[Callable[[int], bytes], Callabl
     try:
         bits = max(map(int.bit_length, codes))
     except TypeError:
-        raise WordSyntaxError(f"letter codes must be ints, got {codes!r}") from None
+        bad = next(a for a in codes if not isinstance(a, int))
+        raise WordSyntaxError(f"letter codes must be ints, got {bad!r}") from None
     signed = min(codes) < 0
     width = (bits + signed + 7) // 8
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
-from .embeddings import Embedding
+from .embeddings import Embedding, complement_of_embedding
 from .words import Word
 
 
@@ -139,9 +139,7 @@ def self_shuffle_by_second_occurrence(w: Sequence[int], u: Sequence[int]) -> boo
             return False
         taken.append(j)
         j += 1
-    rest = set(taken)
-    left = tuple(a for p, a in enumerate(w) if p not in rest)
-    return left == u
+    return complement_of_embedding(w, [p + 1 for p in taken]) == u
 
 
 def has_superword_complement(w: Sequence[int], u: Sequence[int]) -> bool:

@@ -48,7 +48,7 @@ from .shuffle import (
     shuffle_set,
     has_superword_complement,
 )
-from .words import Word, is_scattered_factor, contains_letter_square, is_square_free, text
+from .words import Word, condensed, is_scattered_factor, contains_letter_square, is_square_free, text
 
 _BIG = 10**18
 _MAX_STORED_VIOLATIONS = 20
@@ -236,11 +236,8 @@ def _ck_two_arch(lab: _Lab, rep: SuiteReport) -> None:
     if fact.universality_index != 2:
         return
     m1 = fact.modus[0]
-    arch2 = tuple(fact.arches[1])
-    run = 0
-    while run < len(arch2) and arch2[run] == m1:
-        run += 1
-    form = run >= 1 and m1 not in arch2[run:]
+    runs = condensed(fact.arches[1])
+    form = runs[0] == m1 and m1 not in runs[1:]
     for a in sorted(set(lab.wt)):
         rep.checked += 1
         singleton = len(lab.census[(a,)]) == 1
@@ -253,10 +250,10 @@ def _ck_single_letter_run(lab: _Lab, rep: SuiteReport) -> None:
     contiguous.  This is the repaired form of the two-arch claim and holds
     for every universality index."""
     wt = lab.wt
+    runs = condensed(wt)
     for a in sorted(set(wt)):
         rep.checked += 1
-        hits = [i for i, b in enumerate(wt) if b == a]
-        contiguous = hits[-1] - hits[0] + 1 == len(hits)
+        contiguous = runs.count(a) == 1
         if (len(lab.census[(a,)]) == 1) != contiguous:
             rep.flag(f"w={_fmt(wt)} u={_fmt((a,))}: contiguous={contiguous}")
 
@@ -420,10 +417,9 @@ def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: in
         admit: dict[tuple, int] = {}
         for wi, w in enumerate(wordlist):
             bit = 1 << wi
-            for mask in range(1 << n):
-                v = tuple(w[i] for i in range(n) if mask >> i & 1)
-                u = tuple(w[i] for i in range(n) if not mask >> i & 1)
-                admit[(v, u)] = admit.get((v, u), 0) | bit
+            for u, per in _complement_census(w).items():
+                for v in per:
+                    admit[(v, u)] = admit.get((v, u), 0) | bit
         norm = sorted(p for p in admit if p[0] <= p[1])
         # single-pair instances: always satisfiable
         for p in norm:
@@ -574,23 +570,14 @@ def suite_repetition(rep: SuiteReport, max_len: int | None, sigma: int, seed: in
     codes = range(1, min(sigma, 3) + 1)
     sides = [t for L in range(3) for t in product(codes, repeat=L)]
     bases = [t for L in range(1, 3) for t in product(codes, repeat=L)]
-
-    def subfactors(t):
-        # distinct scattered factors of a short word
-        out = {()}
-        for a in t:
-            out |= {s + (a,) for s in out}
-        return sorted(out)
-
+    subs = {t: sorted(f for k in range(len(t) + 1) for f in brute_all_scattered_factors(t, k)) for t in sides}
     for x in sides:
-        subs_x = subfactors(x)
         for z in sides:
-            subs_z = subfactors(z)
             for y in bases:
                 for k in (2, 3):
                     wt = x + y * k + z
-                    for xp in subs_x:
-                        for zp in subs_z:
+                    for xp in subs[x]:
+                        for zp in subs[z]:
                             ut = xp + y + zp
                             rep.checked += 1
                             mult = complement_set_with_multiplicity(wt, ut, _BIG).multiplicities

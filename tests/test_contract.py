@@ -87,5 +87,6 @@ def test_error_about_a_non_int_letter_does_not_recurse():
     ],
 )
 def test_a_float_letter_equal_to_a_code_is_a_syntax_error(fn, args):
-    with pytest.raises(WordSyntaxError):
+    with pytest.raises(WordSyntaxError, match=r"2\.0") as err:
         fn(*args)
+    assert "(1, 2, 2.0)" not in str(err.value)

@@ -229,7 +229,7 @@ def test_first_second_occurrence_stops_at_the_first_partner():
     assert first_second_occurrence(w, v) == (tuple(range(1, 13)), tuple(range(13, 25)))
 
 
-def test_first_second_occurrence_charges_each_embedding_tried():
+def test_first_second_occurrence_skips_a_first_copy_without_partner():
     # ababaa: the first embedding of aba, positions 1,2,3, leaves baa, so
     # e1 must pass over position 3 and take 5
     got = first_second_occurrence(word("ababaa"), word("aba"))

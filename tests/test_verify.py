@@ -120,6 +120,16 @@ def test_standalone_default_scales():
         assert (r.checked, len(r.violations) + r.overflow) == counts, nm
 
 
+def test_single_letter_and_pair_counts():
+    # the two single-letter sweeps share one sweep at their default max_len 9
+    slr, two = run_suites(["single-letter-run", "two-arch-singleton"])
+    assert (slr.checked, len(slr.violations) + slr.overflow) == (14255, 0)
+    assert (two.checked, len(two.violations) + two.overflow) == (5333, 165)
+    assert two.violations[0] == "w=abbab u=b: singleton=False form=True"
+    r = run_suite("pairwise-disjoint", max_len=5)
+    assert (r.checked, len(r.violations) + r.overflow) == (289225, 0)
+
+
 def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):
     # a valid pointwise-ordered pair is not enough: the suite compares with
     # the least one, so returning the last valid pair must fail
