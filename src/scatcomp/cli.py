@@ -30,10 +30,10 @@ from .arch import arch_factorize
 from .complement import complement_set, complement_set_with_multiplicity, complement_table
 from .disjoint_embed import find_w, reconstruct_word
 from .embeddings import count_embeddings, enumerate_embeddings, group_equal_complements
-from .errors import BudgetExceeded, ScatcompError
+from .errors import BudgetExceeded, ScatcompError, WordSyntaxError
 from .inverse_u import find_u, find_u_all
 from .shuffle import is_self_shuffle_complement, perfect_shuffle, shuffle_set
-from .words import Alphabet, read_numbered_lines, read_word_file, text, word
+from .words import Alphabet, _encode_line, read_numbered_lines, read_word_file, text, word
 
 
 def _budget_kwargs() -> dict:
@@ -176,12 +176,13 @@ def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
             continue
         parts = line.split("\t")
         if len(parts) != 2 or any(map(str.isspace, "".join(parts))):
-            raise ScatcompError(f"{path}:{lineno}: expected 'v<TAB>u', got {line!r}")
-        rows.append(parts)
+            raise WordSyntaxError(f"{path}:{lineno}: expected 'v<TAB>u', got {line!r}")
+        rows.append((lineno, *parts))
     if not rows:
         raise ScatcompError(f"{path}: no pairs")
-    alpha = alpha or Alphabet.inferred([p for row in rows for p in row])
-    return [(alpha.encode(v), alpha.encode(u)) for v, u in rows], alpha
+    alpha = alpha or Alphabet.inferred([p for _, *row in rows for p in row])
+    return [(_encode_line(alpha, path, n, v), _encode_line(alpha, path, n, u))
+            for n, v, u in rows], alpha
 
 
 def _cmd_exists_w(args, out: _Emit) -> int:

@@ -128,10 +128,11 @@ def find_w(
     S: Iterable[Sequence[int]],
     budget: int = WITNESS_BUDGET,
 ) -> Word | None:
-    """A word w with C(w, u) exactly S, or None.
+    """The lexicographically least word w with C(w, u) exactly S, or None.
 
-    Witnesses interleaving every (v, u) pair are enumerated in lexicographic
-    order and each is verified by recomputing its complement set; matching S
+    Every such w interleaves each (v, u) pair, so it is among the witnesses,
+    which are enumerated in lexicographic order; the first one that passes
+    verification, by recomputing its complement set, is the least.  Matching S
     as a subset does not guarantee equality, so verification can reject every
     witness even when witnesses exist.  At most `budget` witnesses are
     verified; the search that yields them keeps its default state budget.

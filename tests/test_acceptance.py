@@ -1,12 +1,15 @@
 """Acceptance gate: one printed pass/fail line per criterion item.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they go.
-The exhaustive suites share one sweep over all canonical words up to length
-9 so the whole module stays within a few minutes on one core.
+Every suite runs once, at its default scale, in one module-scoped
+`run_suites(available_suites())`, the same run as `scatcomp verify all`.
+`PINNED` pins each suite's checks, violations and first violation from that
+run, and the criteria of groups 2 and 3 read their reports from it.
 
-Three claim suites (two-arch-singleton, three-letter-nontrivial,
-modus-prefix-unique) have genuine counterexamples at these scales; their
-items are expected failures, kept strict so an accidental pass is flagged.
+Four claim suites (two-arch-singleton, three-letter-nontrivial,
+modus-prefix-unique, second-occurrence-greedy) have genuine counterexamples
+at these scales, pinned in the table.  The first three are also criterion
+items, expected failures kept strict so an accidental pass is flagged.
 """
 
 import time
@@ -21,7 +24,7 @@ from scatcomp.shuffle import (
     perfect_shuffle,
     shuffle_set,
 )
-from scatcomp.verify import run_suite, run_suites
+from scatcomp.verify import available_suites, run_suites
 from scatcomp.words import Word, text, word
 
 
@@ -37,28 +40,51 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-# shared exhaustive sweep for criteria 2.1 and 3.*; one pass over all
-# canonical words of length <= 9 over up to three letters
-SWEEP_NAMES = [
-    "complement-prefix",
-    "complement-suffix",
-    "length-uniformity",
-    "multiplicity-sum",
-    "complement-symmetry",
-    "embedding-lower-bound",
-    "two-arch-singleton",
-    "first-letter-modus",
-    "three-letter-nontrivial",
-    "modus-prefix-unique",
-    "squarefree-embeddings",
-    "letter-square-free",
-    "letter-square-usage",
-]
+# checks, violations and first violation of every suite at its default scale
+PINNED = {
+    "complement-prefix": (607_919, 0, None),
+    "complement-suffix": (607_919, 0, None),
+    "complement-symmetry": (917_340, 0, None),
+    "embedding-lower-bound": (40_113, 0, None),
+    "first-letter-modus": (4_774, 0, None),
+    "length-uniformity": (607_919, 0, None),
+    "letter-square-free": (4_926, 0, None),
+    "letter-square-usage": (394_064, 0, None),
+    "modus-prefix-unique": (518, 76, "w=abccacb: singletons of length 1 are {}, expected c"),
+    "multiplicity-sum": (607_919, 0, None),
+    "recover-deleted": (121_273, 0, None),
+    "single-letter-run": (14_255, 0, None),
+    "squarefree-embeddings": (8_630, 0, None),
+    "superword-scan": (121_273, 0, None),
+    "three-letter-nontrivial": (432, 4, "w=abccabbac u=cb: singleton below iota over 3 letters"),
+    "two-arch-singleton": (5_333, 165, "w=abbab u=b: singleton=False form=True"),
+    "universality-index": (14_767, 0, None),
+    "equivariance": (300, 0, None),
+    "first-second-occurrence": (92_041, 0, None),
+    "pairwise-disjoint": (3_580_120, 0, None),
+    "perfectshuffle": (2_146, 0, None),
+    "repetition-classes": (4_332, 0, None),
+    "second-occurrence-greedy": (92_041, 17, "w=aabaab u=aab: greedy disagrees with shuffle set"),
+    "selfshuffle-scan": (2_483_647, 0, None),
+    "shuffle-membership": (175_173, 0, None),
+}
 
 
 @pytest.fixture(scope="module")
-def sweep9():
-    return {r.name: r for r in run_suites(SWEEP_NAMES, max_len=9, sigma=3)}
+def verify_all():
+    """The reports of `scatcomp verify all`: every suite at its default scale."""
+    return {r.name: r for r in run_suites(available_suites())}
+
+
+def test_verify_all_reports_every_pinned_suite(verify_all):
+    assert sorted(verify_all) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_default_scale_outcome(verify_all, name):
+    r = verify_all[name]
+    first = r.violations[0] if r.violations else None
+    assert (r.checked, len(r.violations) + r.overflow, first) == PINNED[name]
 
 
 def _suite_criterion(name: str, report) -> None:
@@ -130,92 +156,92 @@ def test_criterion_1_self_shuffle_membership():
 # --- criterion 2: oracle-equivalence suites (exhaustive, exact) ---
 
 
-def test_criterion_2_prefix_algorithm_vs_brute(sweep9):
+def test_criterion_2_prefix_algorithm_vs_brute(verify_all):
     _suite_criterion("2.1a prefix table = brute complements, |w| <= 9, sigma <= 3",
-                     sweep9["complement-prefix"])
+                     verify_all["complement-prefix"])
 
 
-def test_criterion_2_suffix_algorithm_vs_brute(sweep9):
+def test_criterion_2_suffix_algorithm_vs_brute(verify_all):
     _suite_criterion("2.1b suffix multiplicities = brute counts, |w| <= 9, sigma <= 3",
-                     sweep9["complement-suffix"])
+                     verify_all["complement-suffix"])
 
 
-def test_criterion_2_pairwise_disjoint_vs_brute():
+def test_criterion_2_pairwise_disjoint_vs_brute(verify_all):
     _suite_criterion("2.2 exists_word/reconstruct_word vs brute scan, r <= 2, n <= 6",
-                     run_suite("pairwise-disjoint"))
+                     verify_all["pairwise-disjoint"])
 
 
-def test_criterion_2_self_shuffle_vs_brute():
+def test_criterion_2_self_shuffle_vs_brute(verify_all):
     _suite_criterion("2.3 is_self_shuffle_complement vs membership, |w| <= 10",
-                     run_suite("selfshuffle-scan"))
+                     verify_all["selfshuffle-scan"])
 
 
-def test_criterion_2_find_u_round_trip():
-    _suite_criterion("2.4 find_u round-trip, |w| <= 8", run_suite("recover-deleted"))
+def test_criterion_2_find_u_round_trip(verify_all):
+    _suite_criterion("2.4 find_u round-trip, |w| <= 8", verify_all["recover-deleted"])
 
 
 # --- criterion 3: structural claim suites (exhaustive at stated scales) ---
 
 
-def test_criterion_3_symmetry(sweep9):
-    _suite_criterion("3.1a complement symmetry", sweep9["complement-symmetry"])
+def test_criterion_3_symmetry(verify_all):
+    _suite_criterion("3.1a complement symmetry", verify_all["complement-symmetry"])
 
 
-def test_criterion_3_length_uniformity(sweep9):
-    _suite_criterion("3.1b complement length uniformity", sweep9["length-uniformity"])
+def test_criterion_3_length_uniformity(verify_all):
+    _suite_criterion("3.1b complement length uniformity", verify_all["length-uniformity"])
 
 
-def test_criterion_3_multiplicity_sum(sweep9):
-    _suite_criterion("3.1c multiplicity sum = embedding count", sweep9["multiplicity-sum"])
+def test_criterion_3_multiplicity_sum(verify_all):
+    _suite_criterion("3.1c multiplicity sum = embedding count", verify_all["multiplicity-sum"])
 
 
-def test_criterion_3_embedding_lower_bound(sweep9):
-    _suite_criterion("3.2a embedding count >= binom(iota, |u|)", sweep9["embedding-lower-bound"])
+def test_criterion_3_embedding_lower_bound(verify_all):
+    _suite_criterion("3.2a embedding count >= binom(iota, |u|)", verify_all["embedding-lower-bound"])
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="stated two-arch condition ignores the rest; abbab (arches ab|ba, rest b) violates it",
 )
-def test_criterion_3_two_arch_singleton(sweep9):
-    _suite_criterion("3.2b singleton complements of the first modus letter", sweep9["two-arch-singleton"])
+def test_criterion_3_two_arch_singleton(verify_all):
+    _suite_criterion("3.2b singleton complements of the first modus letter", verify_all["two-arch-singleton"])
 
 
-def test_criterion_3_first_letter_modus(sweep9):
-    _suite_criterion("3.2c singleton forces u[1] = modus[1]", sweep9["first-letter-modus"])
+def test_criterion_3_first_letter_modus(verify_all):
+    _suite_criterion("3.2c singleton forces u[1] = modus[1]", verify_all["first-letter-modus"])
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="abccabbac/cb is a singleton below the universality index over three letters",
 )
-def test_criterion_3_three_letter_nontrivial(sweep9):
-    _suite_criterion("3.2d no singletons below iota over three letters", sweep9["three-letter-nontrivial"])
+def test_criterion_3_three_letter_nontrivial(verify_all):
+    _suite_criterion("3.2d no singletons below iota over three letters", verify_all["three-letter-nontrivial"])
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="the modus prefix of abccacb is not a singleton; the existence half fails over three letters",
 )
-def test_criterion_3_modus_prefix_unique(sweep9):
-    _suite_criterion("3.2e modus prefixes are the unique singletons", sweep9["modus-prefix-unique"])
+def test_criterion_3_modus_prefix_unique(verify_all):
+    _suite_criterion("3.2e modus prefixes are the unique singletons", verify_all["modus-prefix-unique"])
 
 
-def test_criterion_3_squarefree(sweep9):
-    _suite_criterion("3.3a square-free hosts give |C| = binom", sweep9["squarefree-embeddings"])
+def test_criterion_3_squarefree(verify_all):
+    _suite_criterion("3.3a square-free hosts give |C| = binom", verify_all["squarefree-embeddings"])
 
 
-def test_criterion_3_letter_square_characterization(sweep9):
+def test_criterion_3_letter_square_characterization(verify_all):
     _suite_criterion("3.3b |C| < binom iff a letter square is usable, both directions",
-                     sweep9["letter-square-free"])
+                     verify_all["letter-square-free"])
 
 
-def test_criterion_3_letter_square_usage(sweep9):
-    _suite_criterion("3.3c letter-square usage on singleton deletions", sweep9["letter-square-usage"])
+def test_criterion_3_letter_square_usage(verify_all):
+    _suite_criterion("3.3c letter-square usage on singleton deletions", verify_all["letter-square-usage"])
 
 
-def test_criterion_3_perfect_shuffle_characterization():
-    _suite_criterion("3.4 C(w,u) = {u} iff w = u⊙u, |u| <= 5", run_suite("perfectshuffle"))
+def test_criterion_3_perfect_shuffle_characterization(verify_all):
+    _suite_criterion("3.4 C(w,u) = {u} iff w = u⊙u, |u| <= 5", verify_all["perfectshuffle"])
 
 
 # --- criterion 4: scaling smoke benchmark (informal, never gates) ---

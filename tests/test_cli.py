@@ -233,6 +233,22 @@ def test_pair_file_header_counts_in_line_numbers(tmp_path, capsys):
     assert ":3:" in err
 
 
+def test_malformed_pair_line_is_a_syntax_error_naming_its_line(tmp_path, capsys):
+    f = tmp_path / "z.tsv"
+    for content, where in (
+        (b"ba ab\n", ":1:"),  # no tab
+        (b"#alphabet:ab\nb\ta\nb\tc\n", ":3:"),  # a letter outside the header
+        (b"b\ta\n\xc3\ta\n", ":2:"),  # a byte outside ASCII
+    ):
+        f.write_bytes(content)
+        code, out, err = run(capsys, "exists-w", "--pairs", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}{where} ")
+        code, out, _ = run(capsys, "--json", "exists-w", "--pairs", str(f))
+        env = json.loads(out)
+        assert code == env["exit"] == 2 and env["error"]["type"] == "WordSyntaxError"
+
+
 def test_find_w(tmp_path, capsys):
     f = tmp_path / "s.txt"
     f.write_text("ba\n")

@@ -13,7 +13,7 @@ from scatcomp.disjoint_embed import (
     reconstruct_word,
 )
 from scatcomp.errors import BudgetExceeded, LengthMismatch
-from scatcomp.oracle import brute_exists_word
+from scatcomp.oracle import brute_complement_set, brute_exists_word
 from scatcomp.shuffle import in_shuffle
 from scatcomp.words import Word, word
 
@@ -78,6 +78,23 @@ def test_find_w_verifies_the_full_complement_set():
     got = find_w(word("ab"), [word("ba")])
     assert got == word("abba")
     assert complement_set(got, word("ab")).words == {word("ba")}
+
+
+def test_find_w_is_the_least_word_by_a_brute_scan():
+    # half the sets are C(w, u) of a hidden w, half are random; the scan
+    # runs over every word of length |u| + |v| in lexicographic order, and
+    # 43 of the 400 sets have two or more words w, so the order decides
+    rng = random.Random(19)
+    for _ in range(400):
+        sigma, n = rng.randint(1, 3), rng.randint(1, 6)
+        w = [rng.randint(1, sigma) for _ in range(n)]
+        u = Word(w[p] for p in sorted(rng.sample(range(n), rng.randint(0, n))))
+        S = brute_complement_set(w, u).words
+        if rng.random() < 0.5:
+            S = {Word(rng.randint(1, sigma) for _ in range(n - len(u))) for _ in range(rng.randint(1, 3))}
+        want = next((Word(x) for x in product(range(1, sigma + 1), repeat=n)
+                     if brute_complement_set(x, u).words == S), None)
+        assert find_w(u, S) == want, (u, S)
 
 
 def test_find_w_none_when_every_witness_overshoots():

@@ -1,6 +1,7 @@
 """The verification engine itself: registry, report shape, known outcomes.
 
-Full-scale runs live in the acceptance tests; these stay at small scales.
+Every suite's default-scale outcome is pinned in the acceptance tests, from
+one `verify all` run; these stay at small scales.
 """
 
 from itertools import combinations, permutations, product
@@ -104,30 +105,6 @@ def test_grouped_run_equals_one_run_per_suite():
     names = ["superword-scan", "squarefree-embeddings", "three-letter-nontrivial"]
     grouped = run_suites(names)
     assert list(map(_outcome, grouped)) == [_outcome(run_suite(nm)) for nm in names]
-
-
-def test_standalone_default_scales():
-    # counts at each suite's registry default (seed 0 for equivariance)
-    want = {
-        "repetition-classes": (4332, 0),
-        "perfectshuffle": (2146, 0),
-        "equivariance": (300, 0),
-        "second-occurrence-greedy": (92041, 17),
-        "first-second-occurrence": (92041, 0),
-    }
-    for nm, counts in want.items():
-        r = run_suite(nm)
-        assert (r.checked, len(r.violations) + r.overflow) == counts, nm
-
-
-def test_single_letter_and_pair_counts():
-    # the two single-letter sweeps share one sweep at their default max_len 9
-    slr, two = run_suites(["single-letter-run", "two-arch-singleton"])
-    assert (slr.checked, len(slr.violations) + slr.overflow) == (14255, 0)
-    assert (two.checked, len(two.violations) + two.overflow) == (5333, 165)
-    assert two.violations[0] == "w=abbab u=b: singleton=False form=True"
-    r = run_suite("pairwise-disjoint", max_len=5)
-    assert (r.checked, len(r.violations) + r.overflow) == (289225, 0)
 
 
 def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):

@@ -149,6 +149,16 @@ def test_read_word_lines_reports_line_numbers(tmp_path):
         read_word_lines(p)
 
 
+def test_read_word_file_names_the_line_of_a_bad_letter_or_byte(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text("#alphabet:ab\nab\nac\n")
+    with pytest.raises(WordSyntaxError, match=rf"^{p}:3: letter 'c' not in alphabet 'ab'$"):
+        read_word_file(p)
+    p.write_bytes(b"ab\nab\xc3\xa9\n")
+    with pytest.raises(WordSyntaxError, match=rf"^{p}:2: byte 0xc3 is not ASCII$"):
+        read_word_file(p)
+
+
 def test_read_word_lines_empty_line_is_empty_word(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("ab\n\nba\n")
