@@ -79,19 +79,43 @@ def brute_exists_word(
     return None
 
 
-def _complement_census(wt: tuple[int, ...]) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """For every scattered factor u of wt: complement word -> embedding count.
-
-    One pass over all 2^|wt| position subsets; internal helper on raw tuples
-    for the exhaustive verification sweeps.
-    """
+def _splits(wt: tuple[int, ...], most: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (u, v) that splits wt by a position subset of size <= most,
+    letter by letter, each letter going to u before v."""
     splits: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     for a in wt:
-        splits = [p for u, v in splits for p in ((u + (a,), v), (u, v + (a,)))]
+        nxt = []
+        for u, v in splits:
+            if len(u) < most:
+                nxt.append((u + (a,), v))
+            nxt.append((u, v + (a,)))
+        splits = nxt
+    return splits
+
+
+def _complement_census(
+    wt: tuple[int, ...], most: int | None = None
+) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """For every scattered factor u of wt: complement word -> embedding count.
+
+    Brute force over all 2^|wt| position subsets or, with 0 <= most < |wt|,
+    over those of size <= most only: the full census restricted to
+    |u| <= most, in the same key order.  The bounded census stops growing u
+    at most letters; the full one pairs the split lists of the two halves of
+    wt, left half outer, which lists the splits in the order of one pass
+    over wt.  Internal helper on raw tuples for the exhaustive verification
+    sweeps.
+    """
+    n = len(wt)
+    if most is None or most >= n:
+        h = n // 2
+        left, right = _splits(wt[:h], n), _splits(wt[h:], n)
+    else:
+        left, right = _splits(wt, most), [((), ())]
     census: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for u, v in splits:
-        per_u = census.get(u)
-        if per_u is None:
-            per_u = census[u] = {}
-        per_u[v] = per_u.get(v, 0) + 1
+    for ul, vl in left:
+        for ur, vr in right:
+            per_u = census.setdefault(ul + ur, {})
+            v = vl + vr
+            per_u[v] = per_u.get(v, 0) + 1
     return census

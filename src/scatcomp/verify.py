@@ -9,6 +9,14 @@ word up to max_len (letters first occur in increasing code order: one word
 per relabeling class, which suffices because the solvers commute with
 relabelings, as the "equivariance" suite spot-checks), reads the word's
 census from a shared `_Lab`, and gets one report per name from the driver.
+The census counts the complements of every scattered factor over all 2^|w|
+position subsets; it is built from the split lists of the two halves of w.
+Six claims read only short factors: single-letter-run and
+two-arch-singleton single letters, embedding-lower-bound factors up to
+iota, and first-letter-modus, three-letter-nontrivial and
+modus-prefix-unique factors shorter than iota.  They read
+`_Lab.census_upto(k)`, which enumerates only the subsets of size <= k
+unless the word's full census is already built.
 A standalone body enumerates its own cases.  The one driver, `run_suites`,
 creates every report and runs the sweep checkers that share a (max_len,
 sigma) in one sweep, so `verify all` builds each census once per default
@@ -95,15 +103,28 @@ def canonical_words(n: int, sigma: int) -> list[tuple[int, ...]]:
 
 
 class _Lab:
-    """Per-word data shared by the sweep checkers, each computed on first read."""
+    """Per-word data shared by the sweep checkers, each computed on first read.
+
+    `census` is the full census; `census_upto(k)` serves a checker that
+    reads only factors of length <= k, from the full census if the word
+    already has one, else from a census bounded at k."""
 
     def __init__(self, wt: tuple[int, ...]):
         self.wt = wt
         self.n = len(wt)
+        self._bounded: dict[int, dict] = {}
 
     @cached_property
     def census(self):
         return _complement_census(self.wt)
+
+    def census_upto(self, k: int):
+        if k >= self.n or "census" in self.__dict__:
+            return self.census
+        got = self._bounded.get(k)
+        if got is None:
+            got = self._bounded[k] = _complement_census(self.wt, k)
+        return got
 
     @cached_property
     def fact(self):
@@ -195,7 +216,7 @@ def _ck_embedding_bound(lab: _Lab, rep: SuiteReport) -> None:
     """Every scattered factor no longer than the universality index has at
     least binom(iota, |u|) embeddings."""
     iota = lab.fact.universality_index
-    for u, per in lab.census.items():
+    for u, per in lab.census_upto(iota).items():
         if len(u) <= iota:
             rep.checked += 1
             total = sum(per.values())
@@ -240,7 +261,7 @@ def _ck_two_arch(lab: _Lab, rep: SuiteReport) -> None:
     form = runs[0] == m1 and m1 not in runs[1:]
     for a in sorted(set(lab.wt)):
         rep.checked += 1
-        singleton = len(lab.census[(a,)]) == 1
+        singleton = len(lab.census_upto(1)[(a,)]) == 1
         if singleton != (a == m1 and form):
             rep.flag(f"w={_fmt(lab.wt)} u={_fmt((a,))}: singleton={singleton} form={form}")
 
@@ -254,7 +275,7 @@ def _ck_single_letter_run(lab: _Lab, rep: SuiteReport) -> None:
     for a in sorted(set(wt)):
         rep.checked += 1
         contiguous = runs.count(a) == 1
-        if (len(lab.census[(a,)]) == 1) != contiguous:
+        if (len(lab.census_upto(1)[(a,)]) == 1) != contiguous:
             rep.flag(f"w={_fmt(wt)} u={_fmt((a,))}: contiguous={contiguous}")
 
 
@@ -266,7 +287,7 @@ def _ck_first_letter(lab: _Lab, rep: SuiteReport) -> None:
     if iota < 2:
         return
     m1 = fact.modus[0]
-    for u, per in lab.census.items():
+    for u, per in lab.census_upto(iota - 1).items():
         if 0 < len(u) < iota and u[0] != m1:
             rep.checked += 1
             if len(per) == 1:
@@ -286,7 +307,7 @@ def _ck_three_letter(lab: _Lab, rep: SuiteReport) -> None:
     iota = lab.fact.universality_index
     if iota <= 2:
         return
-    for u, per in lab.census.items():
+    for u, per in lab.census_upto(iota - 1).items():
         if 0 < len(u) < iota:
             rep.checked += 1
             if len(per) == 1:
@@ -312,7 +333,8 @@ def _ck_modus_prefix(lab: _Lab, rep: SuiteReport) -> None:
         return
     rep.checked += 1
     expected = modus[: iota - 1]
-    singles = {u for u, per in lab.census.items() if len(u) == iota - 1 and len(per) == 1}
+    census = lab.census_upto(iota - 1)
+    singles = {u for u, per in census.items() if len(u) == iota - 1 and len(per) == 1}
     if singles != {expected}:
         rep.flag(
             f"w={_fmt(lab.wt)}: singletons of length {iota - 1} are "

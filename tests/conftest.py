@@ -1,0 +1,36 @@
+"""Shared fixtures: one `scatcomp verify all` run for the whole session.
+
+The acceptance gate and the grouped-run test read their default-scale
+reports from `verify_all`, so every suite runs at its default scale once.
+`pytest --durations` charges that run to whichever test asks for it first;
+the terminal summary lists each suite's own `elapsed` from it instead.
+"""
+
+import time
+
+import pytest
+
+from scatcomp.verify import available_suites, run_suites
+
+_RUN: dict = {}  # "reports" and "wall_s" once the shared run has happened
+
+
+@pytest.fixture(scope="session")
+def verify_all():
+    """The reports of `scatcomp verify all`: every suite at its default scale."""
+    t0 = time.perf_counter()
+    reports = run_suites(available_suites())
+    _RUN["wall_s"] = time.perf_counter() - t0
+    _RUN["reports"] = reports
+    return {r.name: r for r in reports}
+
+
+def pytest_terminal_summary(terminalreporter):
+    if not _RUN:
+        return
+    tr = terminalreporter
+    tr.section(f"verify all: {_RUN['wall_s']:.1f} s, per-suite elapsed")
+    tr.write_line("(suites of one checker share its time; each word's census is charged")
+    tr.write_line(" to the first checker that reads it)")
+    for r in sorted(_RUN["reports"], key=lambda r: -r.elapsed):
+        tr.write_line(f"{r.elapsed:8.2f} s  {r.name}  checked={r.checked}")

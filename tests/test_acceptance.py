@@ -1,8 +1,9 @@
 """Acceptance gate: one printed pass/fail line per criterion item.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they go.
-Every suite runs once, at its default scale, in one module-scoped
-`run_suites(available_suites())`, the same run as `scatcomp verify all`.
+Every suite runs once, at its default scale, in the session-scoped
+`verify_all` fixture of `conftest.py`: one `run_suites(available_suites())`,
+the same run as `scatcomp verify all`.
 `PINNED` pins each suite's checks, violations and first violation from that
 run, and the criteria of groups 2 and 3 read their reports from it.
 
@@ -24,7 +25,6 @@ from scatcomp.shuffle import (
     perfect_shuffle,
     shuffle_set,
 )
-from scatcomp.verify import available_suites, run_suites
 from scatcomp.words import Word, text, word
 
 
@@ -68,12 +68,6 @@ PINNED = {
     "selfshuffle-scan": (2_483_647, 0, None),
     "shuffle-membership": (175_173, 0, None),
 }
-
-
-@pytest.fixture(scope="module")
-def verify_all():
-    """The reports of `scatcomp verify all`: every suite at its default scale."""
-    return {r.name: r for r in run_suites(available_suites())}
 
 
 def test_verify_all_reports_every_pinned_suite(verify_all):

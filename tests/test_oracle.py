@@ -1,6 +1,6 @@
 """The brute-force oracles themselves, and their agreement with the fast paths."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from scatcomp.oracle import (
     brute_complement_set,
     brute_exists_word,
 )
+from scatcomp.verify import canonical_words
 from scatcomp.words import Word, word
 
 
@@ -35,6 +36,38 @@ def test_census_agrees_with_per_factor_brute_force():
                 assert census[tuple(u)] == {
                     tuple(v): m for v, m in brute.multiplicities.items()
                 }
+
+
+def _subset_census(wt):
+    """The census from every position subset, in the order of one pass over
+    wt that sends each letter to u before v."""
+    n = len(wt)
+    subsets = sorted(
+        (s for k in range(n + 1) for s in combinations(range(n), k)),
+        key=lambda s: [i not in s for i in range(n)],
+    )
+    census = {}
+    for s in subsets:
+        u = tuple(wt[i] for i in s)
+        v = tuple(wt[i] for i in range(n) if i not in s)
+        per = census.setdefault(u, {})
+        per[v] = per.get(v, 0) + 1
+    return census
+
+
+def _in_order(census):
+    return [(u, list(per.items())) for u, per in census.items()]
+
+
+def test_full_and_bounded_census_match_position_subsets_in_order():
+    # key order decides which violation a verify suite reports first
+    for n in range(9):
+        for wt in canonical_words(n, 3):
+            want = _in_order(_subset_census(wt))
+            assert _in_order(_complement_census(wt)) == want
+            for most in range(n + 1):
+                got = _in_order(_complement_census(wt, most))
+                assert got == [(u, per) for u, per in want if len(u) <= most]
 
 
 def test_all_scattered_factors():
