@@ -100,21 +100,22 @@ def _complement_census(
 
     Brute force over all 2^|wt| position subsets or, with 0 <= most < |wt|,
     over those of size <= most only: the full census restricted to
-    |u| <= most, in the same key order.  The bounded census stops growing u
-    at most letters; the full one pairs the split lists of the two halves of
-    wt, left half outer, which lists the splits in the order of one pass
-    over wt.  Internal helper on raw tuples for the exhaustive verification
-    sweeps.
+    |u| <= most, in the same key order.  It pairs the split lists of the
+    two halves of wt, each bounded at most, left half outer, and skips a
+    pair whose u is longer than most; this lists the splits in the order
+    of one pass over wt.  Internal helper on raw tuples for the exhaustive
+    verification sweeps.
     """
     n = len(wt)
-    if most is None or most >= n:
-        h = n // 2
-        left, right = _splits(wt[:h], n), _splits(wt[h:], n)
-    else:
-        left, right = _splits(wt, most), [((), ())]
+    most = n if most is None else min(most, n)
+    h = n // 2
+    right = _splits(wt[h:], most)
     census: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for ul, vl in left:
+    for ul, vl in _splits(wt[:h], most):
+        room = most - len(ul)
         for ur, vr in right:
+            if len(ur) > room:
+                continue
             per_u = census.setdefault(ul + ur, {})
             v = vl + vr
             per_u[v] = per_u.get(v, 0) + 1

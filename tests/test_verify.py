@@ -2,7 +2,8 @@
 
 Every suite's default-scale outcome is pinned in the acceptance tests, from
 one `verify all` run; these stay at small scales, except that the six
-short-factor claims also run alone at their default scale against it.
+short-factor claims, superword-scan and squarefree-embeddings also run
+alone at their default scale against it.
 """
 
 from itertools import combinations, permutations, product
@@ -114,8 +115,10 @@ def test_grouped_run_equals_one_run_per_suite(verify_all):
     names = available_suites()
     grouped = run_suites(names, max_len=5)
     assert list(map(_outcome, grouped)) == [_outcome(run_suite(nm, max_len=5)) for nm in names]
-    # default scales: the grouped side is the shared `verify all` run
-    assert [_outcome(verify_all[nm]) for nm in _BOUNDED] == [_outcome(run_suite(nm)) for nm in _BOUNDED]
+    # default scales: the grouped side is the shared `verify all` run;
+    # superword-scan sweeps to length 8, the others to 9
+    names = _BOUNDED + ["superword-scan", "squarefree-embeddings"]
+    assert [_outcome(verify_all[nm]) for nm in names] == [_outcome(run_suite(nm)) for nm in names]
 
 
 def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):
