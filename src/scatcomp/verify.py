@@ -21,7 +21,9 @@ A standalone body enumerates its own cases.  The one driver, `run_suites`,
 creates every report and runs the sweep checkers that share a (max_len,
 sigma) in one sweep, so `verify all` builds each census once per default
 scale.  The three self-shuffle suites share `_self_shuffle_cases`, whose
-truth never comes from `in_shuffle`.
+truth never comes from `in_shuffle`.  letter-square-usage reads its truth
+from w's letter runs and the census; multiplicity-sum checks one probe's
+listed embeddings per word by brute force; recover-deleted wants the least u.
 
 Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
 second-occurrence-greedy) pin claims with genuine counterexamples and report
@@ -35,7 +37,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb
 from typing import Callable
 
@@ -172,7 +174,9 @@ def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None)
 
 def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None) -> None:
     """Suffix-matching algorithm vs the subset census, embedding counts
-    included; multiplicities must also sum to the embedding-count table."""
+    included; multiplicities must also sum to the embedding-count table.  On
+    one mid-sized probe per word, the public multiplicities must equal the
+    census and the listed embeddings a brute-force scan of position subsets."""
     wt, census = lab.wt, lab.census
     ct, enc, dec = _c._codec(wt)
     tracker = [0]
@@ -194,11 +198,17 @@ def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None)
                 rec(child, _c._extend_suffix_row(ct, row, enc(a), tracker, _BIG))
 
     rec((), _c._last_row(ct))
-    if rep is not None and census:
-        keys = sorted(census)
-        probe = keys[len(keys) // 2]
+    keys = sorted(census)
+    probe = keys[len(keys) // 2]
+    if rep is not None:
         if dict(complement_set_with_multiplicity(wt, probe, _BIG).multiplicities) != census[probe]:
             rep.flag(f"w={_fmt(wt)} u={_fmt(probe)}: public multiplicities disagree with census")
+    if mrep is not None:
+        # position and letter subsets come out of combinations in step
+        k = len(probe)
+        brute = [e for e, s in zip(combinations(range(1, lab.n + 1), k), combinations(wt, k)) if s == probe]
+        if enumerate_embeddings(wt, probe, _BIG) != brute:
+            mrep.flag(f"w={_fmt(wt)} u={_fmt(probe)}: listed embeddings disagree with brute force")
 
 
 def _ck_symmetry(lab: _Lab, rep: SuiteReport) -> None:
@@ -374,26 +384,20 @@ def _ck_ls_usage(lab: _Lab, rep: SuiteReport) -> None:
     """In a word with letter squares, for u with a singleton complement set:
     if some embedding uses none-or-both positions of every letter square
     there is exactly one embedding, otherwise (every embedding splitting some
-    square) there are at least two."""
-    wt, n = lab.wt, lab.n
-    squares = [i for i in range(n - 1) if wt[i] == wt[i + 1]]
-    if not squares:
+    square) there are at least two.  Such a clean embedding takes each letter
+    run of w whole or not at all, so it exists iff u concatenates some of w's
+    runs in order; the census's multiplicities sum to the embedding count."""
+    wt = lab.wt
+    if not contains_letter_square(wt):
         return
+    runs = [tuple(g) for _, g in groupby(wt)]
+    clean = {sum(pick, ()) for k in range(len(runs) + 1) for pick in combinations(runs, k)}
     for u, per in lab.census.items():
-        if len(per) != 1:
-            continue
-        rep.checked += 1
-        embs = enumerate_embeddings(wt, u, _BIG)
-        clean = False
-        for e in embs:
-            pos = set(e)
-            if all(((i + 1) in pos) == ((i + 2) in pos) for i in squares):
-                clean = True
-                break
-        if clean != (len(embs) == 1):
-            rep.flag(
-                f"w={_fmt(wt)} u={_fmt(u)}: clean-embedding={clean} embeddings={len(embs)}"
-            )
+        if len(per) == 1:
+            rep.checked += 1
+            total = sum(per.values())
+            if (u in clean) != (total == 1):
+                rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: clean-embedding={u in clean} embeddings={total}")
 
 
 def _ck_superword(lab: _Lab, rep: SuiteReport) -> None:
@@ -408,19 +412,15 @@ def _ck_superword(lab: _Lab, rep: SuiteReport) -> None:
 
 
 def _ck_recover(lab: _Lab, rep: SuiteReport) -> None:
-    """find_u(w, C(w,u)) returns a word whose census row is exactly C(w,u),
-    for every scattered factor u."""
+    """find_u(w, C(w,u)) returns the least scattered factor whose census row
+    is exactly C(w,u), for every scattered factor u."""
     wt, census = lab.wt, lab.census
-    cache: dict[frozenset, bool] = {}
+    least = {frozenset(census[u]): u for u in sorted(census, reverse=True)}  # the least u is written last
+    hits = {key: find_u(wt, key, _BIG) == u for key, u in least.items()}
     for u, per in census.items():
         rep.checked += 1
-        key = frozenset(per)
-        hit = cache.get(key)
-        if hit is None:
-            got = find_u(wt, key, _BIG)
-            hit = cache[key] = got is not None and census[got].keys() == per.keys()
-        if not hit:
-            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: no verified recovery for C(w,u)")
+        if not hits[frozenset(per)]:
+            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: find_u misses the least u with C(w,u)")
 
 
 # --- standalone suites -------------------------------------------------------

@@ -222,11 +222,12 @@ def test_criterion_3_modus_prefix_unique(verify_all):
 
 
 def test_criterion_3_squarefree(verify_all):
-    _suite_criterion("3.3a square-free hosts give |C| = binom", verify_all["squarefree-embeddings"])
+    _suite_criterion("3.3a square-free hosts: |C| = 1 forces one embedding",
+                     verify_all["squarefree-embeddings"])
 
 
 def test_criterion_3_letter_square_characterization(verify_all):
-    _suite_criterion("3.3b |C| < binom iff a letter square is usable, both directions",
+    _suite_criterion("3.3b no letter square iff |C| = 1 forces one embedding, both directions",
                      verify_all["letter-square-free"])
 
 
