@@ -12,9 +12,8 @@ MemoryError exit 3, and any other exception exits 2 with "internal error:
 <Type>: <message>" on stderr.  With --json, exits 2 and 3 also print an
 error envelope on stdout,
 {"error": {"type": <exception class>, "message": <text>}, "exit": <code>},
-next to the same stderr line; argparse usage errors stay plain text.  The
-environment variable SCATCOMP_BUDGET sets the budget argument of every
-solver call that takes one (for find-w, the number of witnesses verified).
+next to the same stderr line; argparse usage errors stay plain text.
+SCATCOMP_BUDGET sets the budget argument of every solver call that takes one.
 """
 
 from __future__ import annotations

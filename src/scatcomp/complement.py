@@ -162,16 +162,16 @@ def _extend_row(
     ct: tuple[bytes, ...],
     prev: _Row,
     letter: bytes,
-    tracker: list[int],
+    room: int,
     budget: int,
-) -> _Row:
+) -> tuple[_Row, int]:
+    """The next row and the part of `room` it leaves; `budget` is for the error."""
     pbase, paffix = prev
     base: list = [_NO_WORDS]
     affix = [b""]
     cur, s = _NO_WORDS, b""
     # Cells never shrink along a row, so a cell of k words charges k for
     # itself and every cell right of it; a later cell charges only its growth.
-    room = budget - tracker[0]
     n = len(ct)
     for j, a in enumerate(ct):  # column j + 1, whose parent cell is column j
         s += a
@@ -192,8 +192,7 @@ def _extend_row(
                 raise BudgetExceeded(f"prefix table exceeds budget {budget}")
         base.append(cur)
         affix.append(s)
-    tracker[0] = budget - room
-    return base, affix
+    return (base, affix), room
 
 
 def complement_set(
@@ -202,10 +201,9 @@ def complement_set(
     """C(w, u) as a plain set of words; u must be a scattered factor of w."""
     wt, ut = _factor_pair(w, u)
     ct, enc, dec = _codec(wt, ut)
-    tracker = [0]
-    row = _first_row(ct)
+    row, room = _first_row(ct), budget
     for x in ut:
-        row = _extend_row(ct, row, enc(x), tracker, budget)
+        row, room = _extend_row(ct, row, enc(x), room, budget)
     return ComplementSet(frozenset(map(dec, _prefix_cell(row, len(wt)))))
 
 
@@ -249,10 +247,10 @@ def complement_table(
     """The whole prefix table, for inspection; no scattered-factor precondition."""
     wt, ut = tuple(w), tuple(u)
     ct, enc, dec = _codec(wt, ut)
-    tracker = [0]
-    rows = [_first_row(ct)]
+    rows, room = [_first_row(ct)], budget
     for x in ut:
-        rows.append(_extend_row(ct, rows[-1], enc(x), tracker, budget))
+        row, room = _extend_row(ct, rows[-1], enc(x), room, budget)
+        rows.append(row)
     return PrefixTable(Word(wt), Word(ut), rows, dec)
 
 
@@ -285,10 +283,10 @@ def _extend_suffix_row(
     ct: tuple[bytes, ...],
     prev: _Row,
     letter: bytes,
-    tracker: list[int],
+    room: int,
     budget: int,
     lo: int = 1,
-) -> _Row:
+) -> tuple[_Row, int]:
     pbase, paffix = prev
     n = len(ct)
     base: list = [_NO_COUNTS] * (n + 2)
@@ -296,7 +294,6 @@ def _extend_suffix_row(
     cur, s = _NO_COUNTS, b""
     # Cells never shrink leftwards, so a cell of k words charges k for itself
     # and every cell left of it down to lo; a later cell charges its growth.
-    room = budget - tracker[0]
     for j in range(n, lo - 1, -1):  # column j, whose parent cell is column j + 1
         a = ct[j - 1]
         s = a + s
@@ -316,8 +313,7 @@ def _extend_suffix_row(
                 raise BudgetExceeded(f"suffix table exceeds budget {budget}")
         base[j] = cur
         affix[j] = s
-    tracker[0] = budget - room
-    return base, affix
+    return (base, affix), room
 
 
 def complement_set_with_multiplicity(
@@ -330,9 +326,8 @@ def complement_set_with_multiplicity(
     for x in ut:
         first.append(wt.index(x, first[-1]) + 1)
     ct, enc, dec = _codec(wt, ut)
-    tracker = [0]
-    row = _last_row(ct)
+    row, room = _last_row(ct), budget
     for i in reversed(range(len(ut))):
-        row = _extend_suffix_row(ct, row, enc(ut[i]), tracker, budget, first[i] + 1)
+        row, room = _extend_suffix_row(ct, row, enc(ut[i]), room, budget, first[i] + 1)
     mult = {dec(t): c for t, c in _suffix_cell(row, 1).items()}
     return ComplementSet(frozenset(mult), mult)

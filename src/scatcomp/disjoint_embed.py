@@ -35,10 +35,6 @@ from .complement import complement_set
 from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
 from .words import Word, _equal_length_words
 
-# find_w verifies each reconstructed witness with a full complement-set
-# computation, so its default exploration cap is far below DEFAULT_BUDGET.
-WITNESS_BUDGET = 10**4
-
 Pairs = Iterable[tuple[Sequence[int], Sequence[int]]]
 
 
@@ -126,7 +122,7 @@ def reconstruct_word(pairs: Pairs, budget: int = DEFAULT_BUDGET) -> Word | None:
 def find_w(
     u: Sequence[int],
     S: Iterable[Sequence[int]],
-    budget: int = WITNESS_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Word | None:
     """The lexicographically least word w with C(w, u) exactly S, or None.
 
@@ -134,15 +130,10 @@ def find_w(
     which are enumerated in lexicographic order; the first one that passes
     verification, by recomputing its complement set, is the least.  Matching S
     as a subset does not guarantee equality, so verification can reject every
-    witness even when witnesses exist.  At most `budget` witnesses are
-    verified; the search that yields them keeps its default state budget.
+    witness even when witnesses exist.  `budget` bounds the frontier search
+    and each witness's complement table on its own.
     """
     ut = tuple(u)
-    vs = sorted(set(_equal_length_words(S)))
-    target = frozenset(Word(v) for v in vs)
-    for explored, w in enumerate(_interleavings([(v, ut) for v in vs]), 1):
-        if explored > budget:
-            raise BudgetExceeded(f"witness exploration exceeded budget {budget}")
-        if complement_set(w, ut).words == target:
-            return w
-    return None
+    target = frozenset(map(Word, _equal_length_words(S)))
+    witnesses = _interleavings([(v, ut) for v in target], budget)
+    return next((w for w in witnesses if complement_set(w, ut, budget).words == target), None)

@@ -23,7 +23,8 @@ sigma) in one sweep, so `verify all` builds each census once per default
 scale.  The three self-shuffle suites share `_self_shuffle_cases`, whose
 truth never comes from `in_shuffle`.  letter-square-usage reads its truth
 from w's letter runs and the census; multiplicity-sum checks one probe's
-listed embeddings per word by brute force; recover-deleted wants the least u.
+listed embeddings per word by brute force; recover-deleted wants the least u,
+and find-w the least w, found by walking every word's census in order.
 
 Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
 second-occurrence-greedy) pin claims with genuine counterexamples and report
@@ -44,7 +45,7 @@ from typing import Callable
 from . import complement as _c
 from .arch import arch_factorize
 from .complement import complement_set, complement_set_with_multiplicity
-from .disjoint_embed import exists_word, reconstruct_word
+from .disjoint_embed import exists_word, find_w, reconstruct_word
 from .errors import ScatcompError
 from .embeddings import count_embeddings, enumerate_embeddings
 from .inverse_u import find_u
@@ -141,7 +142,6 @@ def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None)
     Also checks that every complement word has length |w| - |u|."""
     wt, n, census = lab.wt, lab.n, lab.census
     ct, enc, dec = _c._codec(wt)
-    tracker = [0]
     alpha = sorted(set(wt))
 
     def rec(u: tuple[int, ...], row) -> None:
@@ -158,7 +158,7 @@ def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None)
         for a in alpha:
             child = u + (a,)
             if child in census:
-                rec(child, _c._extend_row(ct, row, enc(a), tracker, _BIG))
+                rec(child, _c._extend_row(ct, row, enc(a), _BIG, _BIG)[0])
 
     rec((), _c._first_row(ct))
     if rep is not None and census:
@@ -179,7 +179,6 @@ def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None)
     census and the listed embeddings a brute-force scan of position subsets."""
     wt, census = lab.wt, lab.census
     ct, enc, dec = _c._codec(wt)
-    tracker = [0]
     alpha = sorted(set(wt))
 
     def rec(s: tuple[int, ...], row) -> None:
@@ -195,7 +194,7 @@ def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None)
         for a in alpha:
             child = (a,) + s
             if child in census:
-                rec(child, _c._extend_suffix_row(ct, row, enc(a), tracker, _BIG))
+                rec(child, _c._extend_suffix_row(ct, row, enc(a), _BIG, _BIG)[0])
 
     rec((), _c._last_row(ct))
     keys = sorted(census)
@@ -470,6 +469,21 @@ def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: in
                         rep.flag(f"{_two_pairs(p, q)}: sieve disagrees with scanning oracle")
 
 
+def suite_find_w(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
+    """find_w(u, C(w, u)) is the least w with that complement set of u, for
+    every w up to max_len and scattered factor u; the census of each w gives the truth."""
+    least: dict[tuple, tuple[int, ...]] = {}
+    for n in range(max_len + 1):
+        for wt in product(range(1, sigma + 1), repeat=n):  # all words, in order
+            for u, per in _complement_census(wt).items():
+                least.setdefault((u, frozenset(per)), wt)
+    for (u, S), wt in least.items():
+        rep.checked += 1
+        got = find_w(u, S)
+        if got != wt:
+            rep.flag(f"u={_fmt(u)} S={{{','.join(map(_fmt, sorted(S)))}}}: got {got!r}, want {_fmt(wt)}")
+
+
 def _two_pairs(p, q) -> str:
     return f"Z={{({_fmt(p[0])},{_fmt(p[1])}), ({_fmt(q[0])},{_fmt(q[1])})}}"
 
@@ -696,6 +710,7 @@ _SUITES = {nm: s for s in (
     _Suite(("superword-scan",), _ck_superword, 8),
     _Suite(("recover-deleted",), _ck_recover, 8),
     _Suite(("pairwise-disjoint",), suite_pairwise_disjoint, 6, sweep=False),
+    _Suite(("find-w",), suite_find_w, 7, sweep=False),
     _Suite(("selfshuffle-scan",), suite_selfshuffle, 10, sweep=False),
     _Suite(("second-occurrence-greedy",), suite_second_occurrence, 8, sweep=False),
     _Suite(("perfectshuffle",), suite_perfectshuffle, 10, sweep=False),

@@ -30,8 +30,8 @@ class Word(tuple):
 
     def sub(self, i: int, j: int) -> "Word":
         """Factor spanning 1-based positions i..j; empty when i > j."""
-        if i < 1:
-            raise IndexError(f"position {i} out of range")
+        if i < 1 or not 0 <= j <= len(self):
+            raise IndexError(f"positions {i}..{j} out of range 1..{len(self)}")
         return Word(self[i - 1 : j])
 
     def __add__(self, other) -> "Word":  # concatenation

@@ -60,6 +60,7 @@ PINNED = {
     "two-arch-singleton": (5_333, 165, "w=abbab u=b: singleton=False form=True"),
     "universality-index": (14_767, 0, None),
     "equivariance": (300, 0, None),
+    "find-w": (44_488, 0, None),
     "first-second-occurrence": (92_041, 0, None),
     "pairwise-disjoint": (3_580_120, 0, None),
     "perfectshuffle": (2_146, 0, None),

@@ -249,7 +249,7 @@ def test_malformed_pair_line_is_a_syntax_error_naming_its_line(tmp_path, capsys)
         assert code == env["exit"] == 2 and env["error"]["type"] == "WordSyntaxError"
 
 
-def test_find_w(tmp_path, capsys):
+def test_find_w(tmp_path, capsys, monkeypatch):
     f = tmp_path / "s.txt"
     f.write_text("ba\n")
     code, out, _ = run(capsys, "find-w", "ab", "--set-file", str(f))
@@ -257,6 +257,12 @@ def test_find_w(tmp_path, capsys):
     f.write_text("a\nb\n")
     code, out, _ = run(capsys, "find-w", "ab", "--set-file", str(f))
     assert (code, out) == (1, "no solution\n")
+    # the budget reaches the frontier search, not only a count of witnesses
+    monkeypatch.setenv("SCATCOMP_BUDGET", "2")
+    f.write_text("ba\n")
+    code, out, _ = run(capsys, "--json", "find-w", "ab", "--set-file", str(f))
+    env = json.loads(out)
+    assert code == env["exit"] == 3 and env["error"]["type"] == "BudgetExceeded"
 
 
 def test_shuffle_of_a_long_word_ends_cleanly(capsys, monkeypatch):

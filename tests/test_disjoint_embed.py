@@ -109,10 +109,13 @@ def test_find_w_rejects_an_empty_set_and_mixed_lengths():
 
 
 def test_find_w_respects_budget():
-    # the first witness abab is rejected, so a second verification is needed
-    with pytest.raises(BudgetExceeded):
-        find_w(word("ab"), [word("ba")], budget=1)
-    assert find_w(word("ab"), [word("ba")], budget=2) == word("abba")
+    # the budget bounds the frontier search and each witness's prefix table;
+    # the first witness abab needs 10 table words and is rejected for abba
+    with pytest.raises(BudgetExceeded, match="frontier"):
+        find_w(word("ab"), [word("ba")], budget=2)
+    with pytest.raises(BudgetExceeded, match="prefix table"):
+        find_w(word("ab"), [word("ba")], budget=9)
+    assert find_w(word("ab"), [word("ba")], budget=10) == word("abba")
 
 
 def _split(rng, w):

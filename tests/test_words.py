@@ -45,6 +45,13 @@ def test_positions_are_one_based():
         w.at(4)
     assert w.sub(2, 3) == word("bc")
     assert w.sub(2, 1) == word("")
+    assert w.sub(4, 3) == word("")
+    with pytest.raises(IndexError):
+        w.sub(2, 10)
+    with pytest.raises(IndexError):
+        w.sub(5, 9)
+    with pytest.raises(IndexError):
+        w.sub(2, -1)
 
 
 def test_word_concat_and_power():
