@@ -2,16 +2,16 @@
 interleaves every given pair (v_i, u_i), and rebuild such a w letter by
 letter.
 
-All three calls share one search over interleaving frontiers.  After the
-first t letters of w, a pair's frontier is the set of values a such that
-those letters split into v_i[:a] and u_i[:t - a]; it is kept as a bitset, bit
-a standing for a.  Writing a letter x maps each frontier deterministically
-to its successor (a moves to a + 1 where v_i[a] = x, and stays where
-u_i[t - a] = x).  The frontiers of all distinct pairs are packed into one
-int, a lane of 2n + 1 bits per pair for pairs of total length n, so one
-letter is a few big-int operations whatever the number of pairs: with VM[x]
-marking x in each v_i and R[x] setting bit n - 1 - b of a lane where
-u_i[b] = x,
+All three calls, and `shuffle.shuffle_set` for one pair, share one search
+over interleaving frontiers.  After the first t letters of w, a pair's
+frontier is the set of values a such that those letters split into v_i[:a]
+and u_i[:t - a]; it is kept as a bitset, bit a standing for a.  Writing a
+letter x maps each frontier deterministically to its successor (a moves to
+a + 1 where v_i[a] = x, and stays where u_i[t - a] = x).  The frontiers of
+all distinct pairs are packed into one int, a lane of 2n + 1 bits per pair
+for pairs of total length n, so one letter is a few big-int operations
+whatever the number of pairs: with VM[x] marking x in each v_i and R[x]
+setting bit n - 1 - b of a lane where u_i[b] = x,
 
     g = (f & VM[x]) << 1 | f & (R[x] >> (n - 1 - t)).
 

@@ -51,14 +51,12 @@ def brute_all_scattered_factors(w: Sequence[int], k: int) -> frozenset[Word]:
     return frozenset(Word(wt[p] for p in positions) for positions in combinations(range(n), k))
 
 
-def brute_exists_word(
-    pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
-    alphabet: Iterable[int],
-) -> Word | None:
+def brute_exists_word(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Word | None:
     """First w (by code order) interleaving every pair (v_i, u_i), or None.
 
-    All pairs must have the same total length n; the scan tries every word in
-    alphabet^n, so n and the alphabet are capped.
+    All pairs must have the same total length n.  A witness uses only the
+    pairs' letters, so the scan tries every word of length n over them; n and
+    the number of letters are capped.
     """
     plist = [(tuple(v), tuple(u)) for v, u in pairs]
     if not plist:
@@ -67,7 +65,7 @@ def brute_exists_word(
     if len(lengths) != 1:
         raise LengthMismatch(f"pairs disagree on total length: {sorted(lengths)}")
     n = lengths.pop()
-    codes = sorted(set(alphabet))
+    codes = sorted({x for v, u in plist for x in v + u})
     if n > BRUTE_MAX_LEN or len(codes) > BRUTE_MAX_SIGMA:
         raise BudgetExceeded(
             f"scan of {len(codes)}^{n} words exceeds the brute-force cap "

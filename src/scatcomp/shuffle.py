@@ -14,54 +14,38 @@ is a call to it, `first_second_occurrence` builds its pair position by
 position with it, and `inverse_u.candidate_set` filters its candidates
 with it.
 `has_superword_complement` asks another question (whether a subsequence of
-w splits into two copies of u) and keeps its own scan.  `shuffle_set`, the
-enumeration `in_shuffle` is checked against, and `_interleavings`, the
-interleaving-frontier core of `disjoint_embed` that synthesizes words
-instead of deciding them, share no code with it.
+w splits into two copies of u) and keeps its own scan.  The shuffle set,
+which `in_shuffle` is checked against, is the output of `_interleavings`,
+the interleaving-frontier core of `disjoint_embed`, for the one pair (u, v):
+it synthesizes words instead of deciding them and shares no code with
+`in_shuffle`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .disjoint_embed import _interleavings
 from .errors import BudgetExceeded, DEFAULT_BUDGET, LengthMismatch
 from .embeddings import Embedding, complement_of_embedding
 from .words import Word
 
 
 def shuffle_set(u: Sequence[int], v: Sequence[int], budget: int = DEFAULT_BUDGET) -> set[Word]:
-    """All interleavings of u and v.
+    """All interleavings of u and v: the words the frontier search of
+    `disjoint_embed` finds for the one pair (u, v).
 
-    Built bottom-up one row at a time: cell j of row i holds the
-    interleavings of u[i:] and v[j:], each |u| - i + |v| - j letters long.
-    `budget` caps the letters stored, summed over every cell the result is
-    built from (the corner cell of two empty suffixes is never needed unless
-    u and v are both empty), so it bounds the copying and the memory, which
-    grow with the words' length as well as their number.
+    `budget` bounds the states that search pushes and, on its own, the
+    letters of the returned set, so a few long words reach it as a million
+    short ones do.
     """
-    u, v = tuple(u), tuple(v)
-    m, k = len(u), len(v)
-    stored = 0
-
-    def keep(cell: set[tuple[int, ...]], length: int) -> set[tuple[int, ...]]:
-        nonlocal stored
-        stored += len(cell) * length
-        if stored > budget:
+    room, out = budget, set()
+    for w in _interleavings([(u, v)], budget):
+        room -= len(w)
+        if room < 0:
             raise BudgetExceeded(f"shuffle set storage exceeds budget {budget}")
-        return cell
-
-    if not (m and k):
-        return {Word(t) for t in keep({u + v}, m + k)}
-    row = [keep({v[j:]}, k - j) for j in range(k)]
-    for i in range(m - 1, -1, -1):
-        a = u[i]
-        nxt = [set()] * k + [keep({u[i:]}, m - i)]
-        for j in range(k - 1, -1, -1):
-            b = v[j]
-            cell = {(a,) + s for s in row[j]} | {(b,) + s for s in nxt[j + 1]}
-            nxt[j] = keep(cell, m - i + k - j)
-        row = nxt
-    return {Word(t) for t in row[0]}
+        out.add(w)
+    return out
 
 
 def perfect_shuffle(u: Sequence[int], v: Sequence[int]) -> Word:

@@ -465,7 +465,7 @@ def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: in
                     rep.flag(f"{_two_pairs(p, q)}: got {got!r}, want {want!r}")
                 elif (i * 7919 + j) % 997 == 0:
                     # anchor the bitmask sieve to the plain scanning oracle
-                    if brute_exists_word(Z, range(1, sigma + 1)) != want:
+                    if brute_exists_word(Z) != want:
                         rep.flag(f"{_two_pairs(p, q)}: sieve disagrees with scanning oracle")
 
 

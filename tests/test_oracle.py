@@ -86,20 +86,22 @@ def test_all_scattered_factors_counts_sigma_power_k_up_to_universality():
 
 
 def test_brute_exists_word_scans_in_code_order():
-    got = brute_exists_word([(word("ba"), word("ab"))], alphabet=(1, 2))
+    got = brute_exists_word([(word("ba"), word("ab"))])
     assert got == word("abab")
-    assert brute_exists_word([(word("aa"), word("aa")), (word("bb"), word("bb"))], (1, 2)) is None
+    assert brute_exists_word([(word("aa"), word("aa")), (word("bb"), word("bb"))]) is None
+    # the scan runs over the pairs' own letters, whatever they are
+    assert brute_exists_word([(word("c"), word(""))]) == word("c")
 
 
 def test_brute_exists_word_validation():
     with pytest.raises(LengthMismatch):
-        brute_exists_word([], (1, 2))
+        brute_exists_word([])
     with pytest.raises(LengthMismatch):
-        brute_exists_word([(word("a"), word("b")), (word("ab"), word("ba"))], (1, 2))
+        brute_exists_word([(word("a"), word("b")), (word("ab"), word("ba"))])
     with pytest.raises(BudgetExceeded):
-        brute_exists_word([(Word((1,)) * 6, Word((1,)) * 6)], range(1, 5))
-    with pytest.raises(BudgetExceeded):
-        brute_exists_word([(word("a"), word("a"))], range(1, 9))
+        brute_exists_word([(Word((1,)) * 6, Word((1,)) * 6)])
+    with pytest.raises(BudgetExceeded, match="5\\^5"):
+        brute_exists_word([(word("abc"), word("de"))])
 
 
 def test_brute_complement_subset_cap():

@@ -39,14 +39,17 @@ def test_shuffle_budget():
 
 
 def test_shuffle_budget_counts_letters():
-    # cells built for ab with c: {c}, {b}, {bc, cb}, {ab}, {abc, acb, cab}
-    assert len(shuffle_set(word("ab"), word("c"), budget=17)) == 3
-    with pytest.raises(BudgetExceeded):
-        shuffle_set(word("ab"), word("c"), budget=16)
+    # ab with c is abc, acb, cab: 9 letters; the search pushes a, ab, ac, c, ca
+    assert len(shuffle_set(word("ab"), word("c"), budget=9)) == 3
+    with pytest.raises(BudgetExceeded, match="storage"):
+        shuffle_set(word("ab"), word("c"), budget=8)
+    with pytest.raises(BudgetExceeded, match="frontier"):
+        shuffle_set(word("ab"), word("c"), budget=1)
 
 
 def test_shuffle_budget_stops_long_words_early():
-    # a^1200 with b stores only 722,000 words, but 3 * 10^8 letters
+    # a^1200 with b is only 1,201 words, but 1,201 letters each: the letter
+    # charge stops the search after 832 of them
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded):
         shuffle_set(word("a" * 1200), word("b"))
@@ -104,6 +107,12 @@ def test_in_shuffle_against_table_dp():
                 assert (tuple(x) in shuffle_set(u, v)) == want, (x, u, v)
             answers[want] += 1
         assert _table_in_shuffle(w, u, v)
+        if n <= 8:  # the set places u on each position subset and v on the rest
+            placed = set()
+            for pos in combinations(range(n), m):
+                rest = [iter(u), iter(v)]
+                placed.add(tuple(next(rest[i not in pos]) for i in range(n)))
+            assert shuffle_set(u, v) == placed, (u, v)
     assert min(answers.values()) > 500, answers
 
 

@@ -10,7 +10,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from scatcomp import verify
+from scatcomp import shuffle, verify
 from scatcomp.errors import ScatcompError
 from scatcomp.inverse_u import find_u_all
 from scatcomp.verify import available_suites, canonical_words, run_suite, run_suites
@@ -144,14 +144,20 @@ def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):
 
 def test_listing_and_recovery_suites_catch_their_mutants(monkeypatch):
     # multiplicity-sum compares one listed probe per word with brute force,
-    # and recover-deleted asks find_u for the least u, not just a valid one
+    # recover-deleted asks find_u for the least u, not just a valid one, and
+    # shuffle-membership checks the frontier search's full enumeration of
+    # each shuffle set against in_shuffle
     assert run_suite("multiplicity-sum", max_len=4).ok
     assert run_suite("recover-deleted", max_len=4).ok
+    assert run_suite("shuffle-membership", max_len=4).ok
     listed = verify.enumerate_embeddings
     monkeypatch.setattr(verify, "enumerate_embeddings", lambda w, u, budget: listed(w, u, budget)[:-1])
     assert not run_suite("multiplicity-sum", max_len=4).ok
     monkeypatch.setattr(verify, "find_u", lambda w, S, budget: find_u_all(w, S, budget)[-1])
     assert not run_suite("recover-deleted", max_len=4).ok
+    found = shuffle._interleavings
+    monkeypatch.setattr(shuffle, "_interleavings", lambda pairs, budget: list(found(pairs, budget))[:-1])
+    assert not run_suite("shuffle-membership", max_len=4).ok
 
 
 def _splits(w, v, u):
