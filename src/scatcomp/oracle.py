@@ -3,6 +3,11 @@
 Everything here recomputes results from first principles, by enumerating
 position subsets or candidate words outright, so the solver modules can be
 checked against an independent route.  Budgets keep the blowups explicit.
+Subsets come from `itertools.combinations`, size by size: the census of
+every factor is keyed by |u|, then in `combinations` order, so a census
+bounded at length k is the first part of the full census.  It pairs each
+m-subset with its complement, the (|w| - m)-subset at the mirror place in
+its list, since complementing reverses lexicographic order.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ def brute_complement_set(w: Sequence[int], u: Sequence[int]) -> ComplementSet:
     if comb(n, m) > BRUTE_MAX_SUBSETS:
         raise BudgetExceeded(f"binom({n},{m}) subsets exceed the brute-force cap")
     counts: dict[Word, int] = {}
-    for positions in combinations(range(n), m):
-        if all(wt[p] == ut[i] for i, p in enumerate(positions)):
+    for positions, letters in zip(combinations(range(n), m), combinations(wt, m)):
+        if letters == ut:
             chosen = set(positions)
             v = Word(a for j, a in enumerate(wt) if j not in chosen)
             counts[v] = counts.get(v, 0) + 1
@@ -48,7 +53,7 @@ def brute_all_scattered_factors(w: Sequence[int], k: int) -> frozenset[Word]:
         return frozenset()
     if comb(n, k) > BRUTE_MAX_SUBSETS:
         raise BudgetExceeded(f"binom({n},{k}) subsets exceed the brute-force cap")
-    return frozenset(Word(wt[p] for p in positions) for positions in combinations(range(n), k))
+    return frozenset(map(Word, combinations(wt, k)))
 
 
 def brute_exists_word(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Word | None:
@@ -77,44 +82,28 @@ def brute_exists_word(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> W
     return None
 
 
-def _splits(wt: tuple[int, ...], most: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (u, v) that splits wt by a position subset of size <= most,
-    letter by letter, each letter going to u before v."""
-    splits: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for a in wt:
-        nxt = []
-        for u, v in splits:
-            if len(u) < most:
-                nxt.append((u + (a,), v))
-            nxt.append((u, v + (a,)))
-        splits = nxt
-    return splits
-
-
 def _complement_census(
     wt: tuple[int, ...], most: int | None = None
 ) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     """For every scattered factor u of wt: complement word -> embedding count.
 
     Brute force over all 2^|wt| position subsets or, with 0 <= most < |wt|,
-    over those of size <= most only: the full census restricted to
-    |u| <= most, in the same key order.  It pairs the split lists of the
-    two halves of wt, each bounded at most, left half outer, and skips a
-    pair whose u is longer than most; this lists the splits in the order
-    of one pass over wt.  Internal helper on raw tuples for the exhaustive
-    verification sweeps.
+    over those of size <= most only.  Subsets are taken size by size, each
+    size in `combinations` order, so the keys come by |u| and the census
+    bounded at most is the first part of the full one, in the same order.
+    The complement of the i-th m-subset is the i-th (|wt| - m)-subset from
+    the end: complementing keeps the least element of A ^ B and moves it to
+    the other side, which reverses lexicographic order.  Internal helper on
+    raw tuples for the exhaustive verification sweeps.
     """
     n = len(wt)
     most = n if most is None else min(most, n)
-    h = n // 2
-    right = _splits(wt[h:], most)
     census: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for ul, vl in _splits(wt[:h], most):
-        room = most - len(ul)
-        for ur, vr in right:
-            if len(ur) > room:
-                continue
-            per_u = census.setdefault(ul + ur, {})
-            v = vl + vr
-            per_u[v] = per_u.get(v, 0) + 1
+    for m in range(most + 1):
+        for u, v in zip(combinations(wt, m), reversed(list(combinations(wt, n - m)))):
+            per_u = census.get(u)
+            if per_u is None:
+                census[u] = {v: 1}
+            else:
+                per_u[v] = per_u.get(v, 0) + 1
     return census

@@ -10,7 +10,7 @@ per relabeling class, which suffices because the solvers commute with
 relabelings, as the "equivariance" suite spot-checks), reads the word's
 census from a shared `_Lab`, and gets one report per name from the driver.
 The census counts the complements of every scattered factor over all 2^|w|
-position subsets; it is built from the split lists of the two halves of w.
+position subsets, taken size by size with `itertools.combinations`.
 Six claims read only short factors: single-letter-run and
 two-arch-singleton single letters, embedding-lower-bound factors up to
 iota, and first-letter-modus, three-letter-nontrivial and
@@ -45,7 +45,7 @@ from typing import Callable
 from . import complement as _c
 from .arch import arch_factorize
 from .complement import complement_set, complement_set_with_multiplicity
-from .disjoint_embed import exists_word, find_w, reconstruct_word
+from .disjoint_embed import _interleavings, exists_word, find_w, reconstruct_word
 from .errors import ScatcompError
 from .embeddings import count_embeddings, enumerate_embeddings
 from .inverse_u import find_u
@@ -554,7 +554,7 @@ def suite_perfectshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) 
 
     for m in range(max_len // 2 + 1):
         for ut in canonical_words(m, sigma):
-            for w in sorted(shuffle_set(ut, ut, _BIG)):
+            for w in _interleavings([(ut, ut)], _BIG):
                 check(tuple(w), ut)
     for m in range(min(3, max_len // 2) + 1):
         for ut in canonical_words(m, sigma):

@@ -28,30 +28,28 @@ def test_brute_complement_matches_fast_path_exhaustively():
 
 
 def test_census_agrees_with_per_factor_brute_force():
-    for wt in [word("abbab"), word("abcacb"), word("aaaa")]:
-        census = _complement_census(tuple(wt))
-        for k in range(len(wt) + 1):
-            for u in brute_all_scattered_factors(wt, k):
-                brute = brute_complement_set(wt, u)
-                assert census[tuple(u)] == {
-                    tuple(v): m for v, m in brute.multiplicities.items()
-                }
+    # each oracle against the position-subset loop below
+    for n in range(8):
+        for wt in canonical_words(n, 3):
+            want = _subset_census(wt)
+            assert _complement_census(wt) == want
+            for k in range(-1, n + 2):
+                assert brute_all_scattered_factors(wt, k) == {u for u in want if len(u) == k}
+            for u, per in want.items():
+                assert dict(brute_complement_set(wt, u).multiplicities) == per
 
 
 def _subset_census(wt):
-    """The census from every position subset, in the order of one pass over
-    wt that sends each letter to u before v."""
+    """The census from every position subset, by size, then in
+    `combinations` order."""
     n = len(wt)
-    subsets = sorted(
-        (s for k in range(n + 1) for s in combinations(range(n), k)),
-        key=lambda s: [i not in s for i in range(n)],
-    )
     census = {}
-    for s in subsets:
-        u = tuple(wt[i] for i in s)
-        v = tuple(wt[i] for i in range(n) if i not in s)
-        per = census.setdefault(u, {})
-        per[v] = per.get(v, 0) + 1
+    for k in range(n + 1):
+        for s in combinations(range(n), k):
+            u = tuple(wt[i] for i in s)
+            v = tuple(wt[i] for i in range(n) if i not in s)
+            per = census.setdefault(u, {})
+            per[v] = per.get(v, 0) + 1
     return census
 
 
@@ -63,11 +61,12 @@ def test_full_and_bounded_census_match_position_subsets_in_order():
     # key order decides which violation a verify suite reports first
     for n in range(9):
         for wt in canonical_words(n, 3):
-            want = _in_order(_subset_census(wt))
-            assert _in_order(_complement_census(wt)) == want
+            full = _in_order(_complement_census(wt))
+            assert full == _in_order(_subset_census(wt))
             for most in range(n + 1):
-                got = _in_order(_complement_census(wt, most))
-                assert got == [(u, per) for u, per in want if len(u) <= most]
+                bounded = _in_order(_complement_census(wt, most))
+                assert bounded == full[: len(bounded)]
+                assert [u for u, _ in bounded] == [u for u, _ in full if len(u) <= most]
 
 
 def test_all_scattered_factors():
