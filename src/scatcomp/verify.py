@@ -11,6 +11,8 @@ relabelings, as the "equivariance" suite spot-checks), reads the word's
 census from a shared `_Lab`, and gets one report per name from the driver.
 The census counts the complements of every scattered factor over all 2^|w|
 position subsets, taken size by size with `itertools.combinations`.
+The checkers walk the census by length and hold no self-calling closure,
+so a word's census and table rows are freed when its check ends.
 Six claims read only short factors: single-letter-run and
 two-arch-singleton single letters, embedding-lower-bound factors up to
 iota, and first-letter-modus, three-letter-nontrivial and
@@ -138,29 +140,24 @@ class _Lab:
 
 def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None) -> None:
     """Prefix-table algorithm vs the subset census, for every scattered
-    factor of w at once (the table rows for u extend those for its prefixes).
+    factor of w at once.  Rows are built in census order, by length, each
+    from its parent's row: u's row extends that of u[:-1], listed earlier.
     Also checks that every complement word has length |w| - |u|."""
     wt, n, census = lab.wt, lab.n, lab.census
     ct, enc, dec = _c._codec(wt)
-    alpha = sorted(set(wt))
-
-    def rec(u: tuple[int, ...], row) -> None:
+    rows = {}
+    for u, per in census.items():
+        row = rows[u] = _c._extend_row(ct, rows[u[:-1]], enc(u[-1]), _BIG, _BIG)[0] if u else _c._first_row(ct)
         final = set(map(dec, _c._prefix_cell(row, n)))
         if rep is not None:
             rep.checked += 1
-            if final != census[u].keys():
+            if final != per.keys():
                 rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: prefix table disagrees with census")
         if lrep is not None:
             lrep.checked += 1
             k = n - len(u)
             if any(map(k.__ne__, map(len, final))):
                 lrep.flag(f"w={_fmt(wt)} u={_fmt(u)}: complement of wrong length")
-        for a in alpha:
-            child = u + (a,)
-            if child in census:
-                rec(child, _c._extend_row(ct, row, enc(a), _BIG, _BIG)[0])
-
-    rec((), _c._first_row(ct))
     if rep is not None and census:
         # spot-check the public entry point and the one-factor brute oracle
         # on a mid-sized factor (the census itself covers the rest)
@@ -174,29 +171,25 @@ def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None)
 
 def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None) -> None:
     """Suffix-matching algorithm vs the subset census, embedding counts
-    included; multiplicities must also sum to the embedding-count table.  On
-    one mid-sized probe per word, the public multiplicities must equal the
-    census and the listed embeddings a brute-force scan of position subsets."""
+    included; multiplicities must also sum to the embedding-count table.
+    Rows are built in census order, by length, each from its parent's row:
+    s's row extends that of s[1:], listed earlier.  On one mid-sized probe
+    per word, the public multiplicities must equal the census and the listed
+    embeddings a brute-force scan of position subsets."""
     wt, census = lab.wt, lab.census
     ct, enc, dec = _c._codec(wt)
-    alpha = sorted(set(wt))
-
-    def rec(s: tuple[int, ...], row) -> None:
+    rows = {}
+    for s, per in census.items():
+        row = rows[s] = _c._extend_suffix_row(ct, rows[s[1:]], enc(s[0]), _BIG, _BIG)[0] if s else _c._last_row(ct)
         cell = _c._suffix_cell(row, 1)
         if rep is not None:
             rep.checked += 1
-            if {dec(v): c for v, c in cell.items()} != census[s]:
+            if {dec(v): c for v, c in cell.items()} != per:
                 rep.flag(f"w={_fmt(wt)} u={_fmt(s)}: suffix table disagrees with census")
         if mrep is not None:
             mrep.checked += 1
             if sum(cell.values()) != count_embeddings(wt, s):
                 mrep.flag(f"w={_fmt(wt)} u={_fmt(s)}: multiplicities do not sum to the embedding count")
-        for a in alpha:
-            child = (a,) + s
-            if child in census:
-                rec(child, _c._extend_suffix_row(ct, row, enc(a), _BIG, _BIG)[0])
-
-    rec((), _c._last_row(ct))
     keys = sorted(census)
     probe = keys[len(keys) // 2]
     if rep is not None:

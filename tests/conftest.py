@@ -3,9 +3,11 @@
 The acceptance gate and the grouped-run test read their default-scale
 reports from `verify_all`, so every suite runs at its default scale once.
 `pytest --durations` charges that run to whichever test asks for it first;
-the terminal summary lists each suite's own `elapsed` from it instead.
+the terminal summary lists each suite's own `elapsed` from it instead, and
+the session's peak RSS in its header.
 """
 
+import resource
 import time
 
 import pytest
@@ -29,7 +31,9 @@ def pytest_terminal_summary(terminalreporter):
     if not _RUN:
         return
     tr = terminalreporter
-    tr.section(f"verify all: {_RUN['wall_s']:.1f} s, per-suite elapsed")
+    # ru_maxrss is in KiB on Linux: the peak of the whole session, not of this run
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tr.section(f"verify all: {_RUN['wall_s']:.1f} s, per-suite elapsed; session peak RSS {peak_mb:.1f} MB")
     tr.write_line("(suites of one checker share its time; each word's census is charged")
     tr.write_line(" to the first checker that reads it)")
     for r in sorted(_RUN["reports"], key=lambda r: -r.elapsed):

@@ -6,11 +6,12 @@ short-factor claims, superword-scan and squarefree-embeddings also run
 alone at their default scale against it.
 """
 
+import gc
 from itertools import combinations, permutations, product
 
 import pytest
 
-from scatcomp import shuffle, verify
+from scatcomp import complement, shuffle, verify
 from scatcomp.errors import ScatcompError
 from scatcomp.inverse_u import find_u_all
 from scatcomp.verify import available_suites, canonical_words, run_suite, run_suites
@@ -144,9 +145,12 @@ def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):
 
 def test_listing_and_recovery_suites_catch_their_mutants(monkeypatch):
     # multiplicity-sum compares one listed probe per word with brute force,
-    # recover-deleted asks find_u for the least u, not just a valid one, and
+    # recover-deleted asks find_u for the least u, not just a valid one,
     # shuffle-membership checks the frontier search's full enumeration of
-    # each shuffle set against in_shuffle
+    # each shuffle set against in_shuffle, and the table suites check every
+    # row the kernels build: a prefix row short of a word fails
+    # complement-prefix but keeps every word's length, and a suffix row with
+    # doubled counts fails both suffix-table suites
     assert run_suite("multiplicity-sum", max_len=4).ok
     assert run_suite("recover-deleted", max_len=4).ok
     assert run_suite("shuffle-membership", max_len=4).ok
@@ -158,6 +162,41 @@ def test_listing_and_recovery_suites_catch_their_mutants(monkeypatch):
     found = shuffle._interleavings
     monkeypatch.setattr(shuffle, "_interleavings", lambda pairs, budget: list(found(pairs, budget))[:-1])
     assert not run_suite("shuffle-membership", max_len=4).ok
+    monkeypatch.undo()
+
+    for name in ("complement-prefix", "length-uniformity", "complement-suffix"):
+        assert run_suite(name, max_len=4).ok
+    extend = complement._extend_row
+
+    def short_row(*args):
+        (base, affix), room = extend(*args)
+        return ([c - {min(c)} if len(c) >= 2 else c for c in base], affix), room
+
+    monkeypatch.setattr(complement, "_extend_row", short_row)
+    assert not run_suite("complement-prefix", max_len=4).ok
+    assert run_suite("length-uniformity", max_len=4).ok
+    extend_suffix = complement._extend_suffix_row
+
+    def doubled_row(*args):
+        (base, affix), room = extend_suffix(*args)
+        return ([{v: 2 * c for v, c in b.items()} for b in base], affix), room
+
+    monkeypatch.setattr(complement, "_extend_suffix_row", doubled_row)
+    assert not run_suite("complement-suffix", max_len=4).ok
+    assert not run_suite("multiplicity-sum", max_len=4).ok
+
+
+def test_no_suite_leaves_reference_cycles():
+    # a checker whose locals sit in a cycle keeps each word's census alive
+    # until the cycle collector runs
+    for name in available_suites():
+        gc.collect()
+        gc.disable()
+        try:
+            run_suite(name, max_len=4)
+        finally:
+            gc.enable()
+        assert gc.collect() == 0, name
 
 
 def _splits(w, v, u):
