@@ -32,7 +32,7 @@ from .embeddings import count_embeddings, enumerate_embeddings, group_equal_comp
 from .errors import BudgetExceeded, ScatcompError, WordSyntaxError
 from .inverse_u import find_u, find_u_all
 from .shuffle import is_self_shuffle_complement, perfect_shuffle, shuffle_set
-from .words import Alphabet, _encode_line, read_numbered_lines, read_word_file, text, word
+from .words import Alphabet, _at_line, read_numbered_lines, read_word_file, text, word
 
 
 def _budget_kwargs() -> dict:
@@ -180,7 +180,7 @@ def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
     if not rows:
         raise ScatcompError(f"{path}: no pairs")
     alpha = alpha or Alphabet.inferred([p for _, *row in rows for p in row])
-    return [(_encode_line(alpha, path, n, v), _encode_line(alpha, path, n, u))
+    return [(_at_line(path, n, alpha.encode, v), _at_line(path, n, alpha.encode, u))
             for n, v, u in rows], alpha
 
 

@@ -19,14 +19,15 @@ iota, and first-letter-modus, three-letter-nontrivial and
 modus-prefix-unique factors shorter than iota.  They read
 `_Lab.census_upto(k)`, which enumerates only the subsets of size <= k
 unless the word's full census is already built.
+The three self-shuffle suites read `_Lab.halves`, the least pair of
+embeddings of each v that splits w, from one pass over position subsets.
 A standalone body enumerates its own cases.  The one driver, `run_suites`,
 creates every report and runs the sweep checkers that share a (max_len,
-sigma) in one sweep, so `verify all` builds each census once per default
-scale.  The three self-shuffle suites share `_self_shuffle_cases`, whose
-truth never comes from `in_shuffle`.  letter-square-usage reads its truth
-from w's letter runs and the census; multiplicity-sum checks one probe's
-listed embeddings per word by brute force; recover-deleted wants the least u,
-and find-w the least w, found by walking every word's census in order.
+sigma) in one sweep, so `verify all` builds each census and pair table once
+per default scale.  letter-square-usage reads its truth from w's letter
+runs and the census; multiplicity-sum checks one probe's listed embeddings
+per word by brute force; recover-deleted wants the least u, and find-w the
+least w, found by walking every word's census in order.
 
 Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
 second-occurrence-greedy) pin claims with genuine counterexamples and report
@@ -114,9 +115,10 @@ class _Lab:
     reads only factors of length <= k, from the full census if the word
     already has one, else from a census bounded at k."""
 
-    def __init__(self, wt: tuple[int, ...]):
+    def __init__(self, wt: tuple[int, ...], sigma: int):
         self.wt = wt
         self.n = len(wt)
+        self.sigma = sigma
         self._bounded: dict[int, dict] = {}
 
     @cached_property
@@ -134,6 +136,24 @@ class _Lab:
     @cached_property
     def fact(self):
         return arch_factorize(self.wt)
+
+    @cached_property
+    def halves(self):
+        """(v, least) for every v over 1..sigma of length |w|/2, none for odd
+        |w|: the first pair (e1, e2) of position subsets, each the other's
+        complement, that both spell v with e1 < e2 pointwise, else None."""
+        wt, n = self.wt, self.n
+        if n % 2:
+            return []
+        m = n // 2
+        least = {}
+        if all(wt.count(a) % 2 == 0 for a in set(wt)):
+            spots = list(combinations(range(1, n + 1), m))
+            spelled = list(combinations(wt, m))
+            for e1, e2, s1, s2 in zip(spots, reversed(spots), spelled, reversed(spelled)):
+                if s1 == s2 and s1 not in least and all(map(int.__lt__, e1, e2)):
+                    least[s1] = (e1, e2)
+        return [(v, least.get(v)) for v in product(range(1, self.sigma + 1), repeat=m)]
 
 
 # --- sweep checkers ----------------------------------------------------------
@@ -415,6 +435,36 @@ def _ck_recover(lab: _Lab, rep: SuiteReport) -> None:
             rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: find_u misses the least u with C(w,u)")
 
 
+def _ck_selfshuffle(lab: _Lab, rep: SuiteReport) -> None:
+    """Self-shuffle membership test vs the pair table, for every u of length
+    |w|/2."""
+    for u, least in lab.halves:
+        rep.checked += 1
+        if is_self_shuffle_complement(lab.wt, u) != (least is not None):
+            rep.flag(f"w={_fmt(lab.wt)} u={_fmt(u)}: scan disagrees with shuffle set")
+
+
+def _ck_second_occurrence(lab: _Lab, rep: SuiteReport) -> None:
+    """Pins the claim that a greedy second occurrence decides self-shuffle
+    membership, against the pair table.  The claim has genuine
+    counterexamples (aabaab with aab) that this suite reports; `in_shuffle`
+    is the working test."""
+    for u, least in lab.halves:
+        rep.checked += 1
+        if self_shuffle_by_second_occurrence(lab.wt, u) != (least is not None):
+            rep.flag(f"w={_fmt(lab.wt)} u={_fmt(u)}: greedy disagrees with shuffle set")
+
+
+def _ck_first_second(lab: _Lab, rep: SuiteReport) -> None:
+    """first_second_occurrence returns exactly the least pair of the pair
+    table when w lies in the shuffle of v with itself, and None otherwise."""
+    for v, least in lab.halves:
+        rep.checked += 1
+        got = first_second_occurrence(lab.wt, v)
+        if got != least:
+            rep.flag(f"w={_fmt(lab.wt)} v={_fmt(v)}: got {got}, want {least}")
+
+
 # --- standalone suites -------------------------------------------------------
 
 def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
@@ -485,52 +535,6 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _self_shuffle_cases(max_len: int, sigma: int):
-    """Every canonical w of even length up to max_len with every v of length
-    |w|/2, and their truth: the least pair (e1, e2) if w lies in the shuffle
-    set of v with itself (one set per v; shuffle-membership checks it against
-    in_shuffle), else None.  By brute force, e1 is the first in combinations
-    order whose complement e2 spells v and lies pointwise after it."""
-    codes = range(1, sigma + 1)
-    selfs: dict[tuple, set] = {}
-    for n in range(0, max_len + 1, 2):
-        spots = range(1, n + 1)
-        for wt in canonical_words(n, sigma):
-            for v in product(codes, repeat=n // 2):
-                if v not in selfs:
-                    selfs[v] = shuffle_set(v, v, _BIG)
-                least = None
-                if wt in selfs[v]:
-                    least = next(
-                        (e1, e2)
-                        for e1 in combinations(spots, n // 2)
-                        for e2 in [tuple(p for p in spots if p not in e1)]
-                        if all(wt[p - 1] == a for p, a in zip(e1 + e2, v + v))
-                        and all(p < q for p, q in zip(e1, e2))
-                    )
-                yield wt, v, least
-
-
-def suite_selfshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
-    """Self-shuffle membership test vs the enumerated shuffle set of u with
-    itself, for every canonical w up to max_len and every u of length |w|/2."""
-    for wt, u, least in _self_shuffle_cases(max_len, sigma):
-        rep.checked += 1
-        if is_self_shuffle_complement(wt, u) != (least is not None):
-            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: scan disagrees with shuffle set")
-
-
-def suite_second_occurrence(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
-    """Pins the claim that a greedy second occurrence decides self-shuffle
-    membership, against the enumerated shuffle set.  The claim has genuine
-    counterexamples (aabaab with aab) that this suite reports; `in_shuffle`
-    is the working test."""
-    for wt, u, least in _self_shuffle_cases(max_len, sigma):
-        rep.checked += 1
-        if self_shuffle_by_second_occurrence(wt, u) != (least is not None):
-            rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: greedy disagrees with shuffle set")
-
-
 def suite_perfectshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """C(w,u) = {u} iff w is the perfect shuffle of u with itself.
 
@@ -554,17 +558,6 @@ def suite_perfectshuffle(rep: SuiteReport, max_len: int, sigma: int, seed: int) 
             for wt in product(range(1, sigma + 1), repeat=2 * m):
                 if is_scattered_factor(ut, wt):
                     check(wt, ut)
-
-
-def suite_first_second(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
-    """first_second_occurrence returns exactly the least pointwise-ordered
-    pair of embeddings of v partitioning w, found by brute force, when w lies
-    in the shuffle set of v with itself, and None otherwise."""
-    for wt, v, least in _self_shuffle_cases(max_len, sigma):
-        rep.checked += 1
-        got = first_second_occurrence(wt, v)
-        if got != least:
-            rep.flag(f"w={_fmt(wt)} v={_fmt(v)}: got {got}, want {least}")
 
 
 def suite_shuffle_membership(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
@@ -702,12 +695,12 @@ _SUITES = {nm: s for s in (
     _Suite(("letter-square-usage",), _ck_ls_usage, 9),
     _Suite(("superword-scan",), _ck_superword, 8),
     _Suite(("recover-deleted",), _ck_recover, 8),
+    _Suite(("selfshuffle-scan",), _ck_selfshuffle, 10),
+    _Suite(("second-occurrence-greedy",), _ck_second_occurrence, 8),
+    _Suite(("first-second-occurrence",), _ck_first_second, 8),
     _Suite(("pairwise-disjoint",), suite_pairwise_disjoint, 6, sweep=False),
     _Suite(("find-w",), suite_find_w, 7, sweep=False),
-    _Suite(("selfshuffle-scan",), suite_selfshuffle, 10, sweep=False),
-    _Suite(("second-occurrence-greedy",), suite_second_occurrence, 8, sweep=False),
     _Suite(("perfectshuffle",), suite_perfectshuffle, 10, sweep=False),
-    _Suite(("first-second-occurrence",), suite_first_second, 8, sweep=False),
     _Suite(("shuffle-membership",), suite_shuffle_membership, 7, sweep=False),
     _Suite(("repetition-classes",), suite_repetition, None, sigma=2, sweep=False),
     _Suite(("equivariance",), suite_equivariance, 10, sigma=4, sweep=False, min_len=1, min_sigma=2),
@@ -763,7 +756,7 @@ def _run_sweep(jobs, max_len: int, sigma: int) -> None:
     spent = [0.0] * len(jobs)
     for n in range(max_len + 1):
         for wt in canonical_words(n, sigma):
-            lab = _Lab(wt)
+            lab = _Lab(wt, sigma)
             for k, (run, reps) in enumerate(jobs):
                 t0 = time.perf_counter()
                 run(lab, *reps)

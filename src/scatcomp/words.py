@@ -180,19 +180,31 @@ def is_square_free(w: Sequence[int]) -> bool:
     return True
 
 
+def _at_line(path, lineno: int, make, s: str):
+    """make(s) for line lineno of a file, naming the path and line number in
+    the WordSyntaxError that a malformed s raises."""
+    try:
+        return make(s)
+    except WordSyntaxError as exc:
+        raise WordSyntaxError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_numbered_lines(path) -> tuple[list[tuple[int, str]], Alphabet | None]:
     """Lines of a word file with their line numbers in the file, plus its
     '#alphabet:<letters>' header, if any; the header line is not returned.
-    A line holding a byte outside ASCII is rejected with its line number."""
+    Only a newline ends a line.  A line holding a byte outside ASCII, or a
+    malformed header, is rejected with its line number."""
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
     for lineno, line in enumerate(lines, 1):
         if not line.isascii():
             byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
             raise WordSyntaxError(f"{path}:{lineno}: byte 0x{byte:02x} is not ASCII")
     alphabet = None
     if lines and lines[0].startswith("#alphabet:"):
-        alphabet = Alphabet(lines[0][len("#alphabet:") :].strip())
+        alphabet = _at_line(path, 1, Alphabet, lines[0][len("#alphabet:") :].strip())
         lines = lines[1:]
     return list(enumerate(lines, 1 if alphabet is None else 2)), alphabet
 
@@ -210,19 +222,10 @@ def read_word_lines(path) -> tuple[list[str], Alphabet | None]:
     return [line for _, line in numbered], alphabet
 
 
-def _encode_line(alphabet: Alphabet, path, lineno: int, s: str) -> Word:
-    """alphabet.encode(s) for line lineno of a file, naming the path and line
-    number when s holds a letter outside alphabet."""
-    try:
-        return alphabet.encode(s)
-    except WordSyntaxError as exc:
-        raise WordSyntaxError(f"{path}:{lineno}: {exc}") from None
-
-
 def read_word_file(path, *texts: str) -> tuple[list[Word], Alphabet]:
     """Read a word file under its header's alphabet, else one inferred from
     its letters and those of texts, words that must share its codec."""
     lines, header = read_word_lines(path)
     alphabet = header or Alphabet.inferred([*lines, *texts])
     first = 1 if header is None else 2  # a header is line 1
-    return [_encode_line(alphabet, path, n, ln) for n, ln in enumerate(lines, first)], alphabet
+    return [_at_line(path, n, alphabet.encode, ln) for n, ln in enumerate(lines, first)], alphabet

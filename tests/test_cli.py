@@ -239,6 +239,8 @@ def test_malformed_pair_line_is_a_syntax_error_naming_its_line(tmp_path, capsys)
         (b"ba ab\n", ":1:"),  # no tab
         (b"#alphabet:ab\nb\ta\nb\tc\n", ":3:"),  # a letter outside the header
         (b"b\ta\n\xc3\ta\n", ":2:"),  # a byte outside ASCII
+        (b"b\ta\x0bb\ta\nb\ta\n", ":1:"),  # \v does not end a line
+        (b"#alphabet:aab\nb\ta\n", ":1:"),  # a malformed header
     ):
         f.write_bytes(content)
         code, out, err = run(capsys, "exists-w", "--pairs", str(f))

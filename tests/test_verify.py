@@ -123,24 +123,60 @@ def test_grouped_run_equals_one_run_per_suite(verify_all):
     assert [_outcome(verify_all[nm]) for nm in names] == [_outcome(run_suite(nm)) for nm in names]
 
 
+def _ordered_pairs(w, v):
+    """Every pair (e1, e2) of embeddings of v that splits w with e1 < e2
+    pointwise, e1 in combinations order and e2 built as its complement."""
+    spots = range(1, len(w) + 1)
+    return [
+        (e1, e2)
+        for e1 in combinations(spots, len(v))
+        for e2 in [tuple(p for p in spots if p not in e1)]
+        if all(w[p - 1] == a for p, a in zip(e1 + e2, tuple(v) * 2))
+        and all(p < q for p, q in zip(e1, e2))
+    ]
+
+
+def test_pair_table_matches_shuffle_sets_and_the_complement_search():
+    # membership from the enumerated shuffle set of v with itself, the least
+    # pair from the explicit-complement search; odd words have no entries
+    selfs = {}
+    for sigma, top in ((1, 8), (2, 8), (3, 8), (4, 6)):
+        for n in range(top + 1):
+            for wt in canonical_words(n, sigma):
+                got = verify._Lab(wt, sigma).halves
+                if n % 2:
+                    assert got == []
+                    continue
+                vs = list(product(range(1, sigma + 1), repeat=n // 2))
+                assert [v for v, _ in got] == vs
+                for v, least in got:
+                    if v not in selfs:
+                        selfs[v] = shuffle.shuffle_set(v, v, 10**9)
+                    pairs = _ordered_pairs(wt, v) if wt in selfs[v] else [None]
+                    assert least == pairs[0], (wt, v)
+
+
 def test_first_second_suite_rejects_a_pair_that_is_not_the_least(monkeypatch):
     # a valid pointwise-ordered pair is not enough: the suite compares with
     # the least one, so returning the last valid pair must fail
     def last_pair(w, v):
-        spots = range(1, len(w) + 1)
-        pairs = [
-            (e1, e2)
-            for e1 in combinations(spots, len(v))
-            for e2 in [tuple(p for p in spots if p not in e1)]
-            if all(w[p - 1] == a for p, a in zip(e1 + e2, tuple(v) * 2))
-            and all(p < q for p, q in zip(e1, e2))
-        ]
+        pairs = _ordered_pairs(w, v)
         return pairs[-1] if pairs else None
 
     monkeypatch.setattr(verify, "first_second_occurrence", last_pair)
     r = run_suite("first-second-occurrence", max_len=6)
     assert (r.checked, len(r.violations)) == (3427, 7)
     assert "w=aaaa v=aa: got ((1, 3), (2, 4)), want ((1, 2), (3, 4))" in r.violations
+
+
+def test_selfshuffle_suite_catches_the_greedy_scan(monkeypatch):
+    # the greedy second occurrence is a wrong membership test: run in place
+    # of the scan, it fails exactly where second-occurrence-greedy does
+    greedy = run_suite("second-occurrence-greedy", max_len=6)
+    assert not greedy.ok
+    monkeypatch.setattr(verify, "is_self_shuffle_complement", verify.self_shuffle_by_second_occurrence)
+    r = run_suite("selfshuffle-scan", max_len=6)
+    assert (r.checked, len(r.violations) + r.overflow) == (greedy.checked, len(greedy.violations) + greedy.overflow)
 
 
 def test_listing_and_recovery_suites_catch_their_mutants(monkeypatch):

@@ -8,6 +8,7 @@ from scatcomp.words import (
     contains_letter_square,
     is_scattered_factor,
     is_square_free,
+    read_numbered_lines,
     read_word_file,
     read_word_lines,
     text,
@@ -172,3 +173,26 @@ def test_read_word_lines_empty_line_is_empty_word(tmp_path):
     lines, alpha = read_word_lines(p)
     assert lines == ["ab", "", "ba"]
     assert alpha is None
+
+
+def test_lines_end_at_newlines_only(tmp_path):
+    # \v, \f and \x1c-\x1e break lines for str.splitlines but not in a file
+    p = tmp_path / "s.txt"
+    p.write_bytes(b"ab\vba\nzz\n")
+    assert read_numbered_lines(p) == ([(1, "ab\vba"), (2, "zz")], None)
+    with pytest.raises(WordSyntaxError, match=rf"^{p}:1: stray whitespace in 'ab\\x0bba'$"):
+        read_word_file(p)
+    for ch in "\f\x1c\x1d\x1e":
+        p.write_text(f"#alphabet:ab\rab{ch}\r\nb\n")
+        assert read_numbered_lines(p) == ([(2, f"ab{ch}"), (3, "b")], Alphabet("ab"))
+
+
+def test_malformed_header_names_path_and_line(tmp_path):
+    p = tmp_path / "s.txt"
+    for header, message in (
+        ("#alphabet:", "alphabet must contain at least one letter"),
+        ("#alphabet:aab", "duplicate letters in alphabet 'aab'"),
+    ):
+        p.write_text(f"{header}\nab\n")
+        with pytest.raises(WordSyntaxError, match=rf"^{p}:1: {message}$"):
+            read_word_file(p)
