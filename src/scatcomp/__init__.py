@@ -51,7 +51,6 @@ from .words import (
     is_square_free,
     letters,
     read_word_file,
-    read_word_lines,
     text,
     word,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "letters",
     "perfect_shuffle",
     "read_word_file",
-    "read_word_lines",
     "reconstruct_word",
     "run_suite",
     "run_suites",

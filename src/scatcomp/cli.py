@@ -1,9 +1,11 @@
 """Command line interface.
 
 Words are given positionally in letters a-z; sets of words come from files
-with one word per line (optional first line `#alphabet:<letters>`).  Every
-subcommand honors --json, which wraps the result in an envelope with timing
-and size counters.  Plain output is that result rendered by the one rule
+with one word per line, pairs from files with one `v<TAB>u` per line, and
+either may open with `#alphabet:<letters>`.  One rule holds for every line
+of both, the header included: ASCII only, and no whitespace but a pair
+line's tab.  Every subcommand honors --json, which wraps the result in an
+envelope with timing and size counters.  Plain output is that result rendered by the one rule
 in `_render`; only complement --table, archfac, shuffle --size-only, verify
 and find-u --all with no match print lines of their own.  Exit codes: 0
 success or true, 1 no solution or false, 2 usage or validation error, 3
@@ -29,10 +31,10 @@ from .arch import arch_factorize
 from .complement import complement_set, complement_set_with_multiplicity, complement_table
 from .disjoint_embed import find_w, reconstruct_word
 from .embeddings import count_embeddings, enumerate_embeddings, group_equal_complements
-from .errors import BudgetExceeded, ScatcompError, WordSyntaxError
+from .errors import BudgetExceeded, NotAScatteredFactor, ScatcompError
 from .inverse_u import find_u, find_u_all
 from .shuffle import is_self_shuffle_complement, perfect_shuffle, shuffle_set
-from .words import Alphabet, _at_line, read_numbered_lines, read_word_file, text, word
+from .words import Alphabet, _read_file, read_word_file, text, word
 
 
 def _budget_kwargs() -> dict:
@@ -156,36 +158,21 @@ def _cmd_find_u(args, out: _Emit) -> int:
     S, alpha = read_word_file(args.set_file, args.w)
     w = alpha.encode(args.w)
     out.stats["set_size"] = len(S)
-    bk = _budget_kwargs()
-    if args.all:
-        found = find_u_all(w, S, **bk)
-        out.result = [alpha.decode(u) for u in found]
-        if not found:
-            out.say("no solution")
-        return 0 if found else 1
-    return _word_or_none(out, alpha, find_u(w, S, **bk))
-
-
-def _read_pairs(path: str) -> tuple[list[tuple], Alphabet]:
-    """Tab-separated (v, u) pairs, one per line, no other whitespace, under one shared codec."""
-    numbered, alpha = read_numbered_lines(path)
-    rows = []
-    for lineno, line in numbered:
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or any(map(str.isspace, "".join(parts))):
-            raise WordSyntaxError(f"{path}:{lineno}: expected 'v<TAB>u', got {line!r}")
-        rows.append((lineno, *parts))
-    if not rows:
-        raise ScatcompError(f"{path}: no pairs")
-    alpha = alpha or Alphabet.inferred([p for _, *row in rows for p in row])
-    return [(_at_line(path, n, alpha.encode, v), _at_line(path, n, alpha.encode, u))
-            for n, v, u in rows], alpha
+    try:
+        found = (find_u_all if args.all else find_u)(w, S, **_budget_kwargs())
+    except NotAScatteredFactor as exc:  # the words in the file's letters, not word()'s a..z
+        part, whole = (f"word({alpha.decode(x)!r})" for x in exc.words)
+        raise NotAScatteredFactor(f"{part} is not a scattered factor of {whole}") from None
+    if not args.all:
+        return _word_or_none(out, alpha, found)
+    out.result = [alpha.decode(u) for u in found]
+    if not found:
+        out.say("no solution")
+    return 0 if found else 1
 
 
 def _cmd_exists_w(args, out: _Emit) -> int:
-    pairs, alpha = _read_pairs(args.pairs)
+    pairs, alpha = _read_file(args.pairs, pairs=True)
     out.stats["set_size"] = len(pairs)
     return _word_or_none(out, alpha, reconstruct_word(pairs, **_budget_kwargs()))
 

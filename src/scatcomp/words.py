@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import groupby
 
-from .errors import LengthMismatch, NotAScatteredFactor, WordSyntaxError
+from .errors import LengthMismatch, NotAScatteredFactor, ScatcompError, WordSyntaxError
 
 
 class Word(tuple):
@@ -144,7 +144,9 @@ def _factor_pair(w: Sequence[int], u: Sequence[int]) -> tuple[tuple[int, ...], t
     """(w, u) as tuples; u must be a scattered factor of w."""
     wt, ut = tuple(w), tuple(u)
     if not is_scattered_factor(ut, wt):
-        raise NotAScatteredFactor(f"{Word(ut)!r} is not a scattered factor of {Word(wt)!r}")
+        exc = NotAScatteredFactor(f"{Word(ut)!r} is not a scattered factor of {Word(wt)!r}")
+        exc.words = ut, wt
+        raise exc
     return wt, ut
 
 
@@ -180,52 +182,53 @@ def is_square_free(w: Sequence[int]) -> bool:
     return True
 
 
-def _at_line(path, lineno: int, make, s: str):
-    """make(s) for line lineno of a file, naming the path and line number in
-    the WordSyntaxError that a malformed s raises."""
+def _at_line(path, lineno: int, make, *args):
+    """make(*args) for line lineno of a file, naming the path and line number
+    in the WordSyntaxError that a malformed line raises."""
     try:
-        return make(s)
+        return make(*args)
     except WordSyntaxError as exc:
         raise WordSyntaxError(f"{path}:{lineno}: {exc}") from None
 
 
-def read_numbered_lines(path) -> tuple[list[tuple[int, str]], Alphabet | None]:
-    """Lines of a word file with their line numbers in the file, plus its
-    '#alphabet:<letters>' header, if any; the header line is not returned.
-    Only a newline ends a line.  A line holding a byte outside ASCII, or a
-    malformed header, is rejected with its line number."""
+def _split_line(line: str, pairs: bool) -> list[str]:
+    """The words of one file line: the line itself, or with pairs the v and
+    u around its one tab.  A byte outside ASCII or any other whitespace is
+    rejected."""
+    if not line.isascii():
+        byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+        raise WordSyntaxError(f"byte 0x{byte:02x} is not ASCII")
+    fields = line.split("\t")
+    if len(fields) != 1 + pairs or any(map(str.isspace, "".join(fields))):
+        raise WordSyntaxError(f"expected 'v<TAB>u', got {line!r}" if pairs else f"stray whitespace in {line!r}")
+    return fields
+
+
+def _read_file(path, texts: Iterable[str] = (), pairs: bool = False) -> tuple[list[tuple[Word, ...]], Alphabet]:
+    """Each line of a set file as a 1-tuple of words, or with pairs each
+    line of a pair file as a (v, u) pair, under the codec of its
+    '#alphabet:<letters>' header, else one inferred from its words and
+    texts.  Only a newline ends a line, and every line, the header included,
+    is held to _split_line's rule.  A set file's interior empty line is the
+    empty word; a pair file skips empty lines and must hold a pair."""
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         lines = fh.read().split("\n")
     if not lines[-1]:
         lines.pop()
-    for lineno, line in enumerate(lines, 1):
-        if not line.isascii():
-            byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
-            raise WordSyntaxError(f"{path}:{lineno}: byte 0x{byte:02x} is not ASCII")
-    alphabet = None
+    numbered = list(enumerate(lines, 1))
+    header = None
     if lines and lines[0].startswith("#alphabet:"):
-        alphabet = _at_line(path, 1, Alphabet, lines[0][len("#alphabet:") :].strip())
-        lines = lines[1:]
-    return list(enumerate(lines, 1 if alphabet is None else 2)), alphabet
-
-
-def read_word_lines(path) -> tuple[list[str], Alphabet | None]:
-    """Raw lines of a word file plus its '#alphabet:<letters>' header, if any.
-
-    One word per line; an interior empty line denotes the empty word.  Lines
-    with stray whitespace are rejected with their line number.
-    """
-    numbered, alphabet = read_numbered_lines(path)
-    for lineno, line in numbered:
-        if any(ch.isspace() for ch in line):
-            raise WordSyntaxError(f"{path}:{lineno}: stray whitespace in {line!r}")
-    return [line for _, line in numbered], alphabet
+        (line,) = _at_line(path, 1, _split_line, numbered.pop(0)[1], False)
+        header = _at_line(path, 1, Alphabet, line[len("#alphabet:") :])
+    rows = [(n, _at_line(path, n, _split_line, line, pairs)) for n, line in numbered if line or not pairs]
+    if pairs and not rows:
+        raise ScatcompError(f"{path}: no pairs")
+    alphabet = header or Alphabet.inferred([*(v for _, fields in rows for v in fields), *texts])
+    return [tuple(_at_line(path, n, alphabet.encode, v) for v in fields) for n, fields in rows], alphabet
 
 
 def read_word_file(path, *texts: str) -> tuple[list[Word], Alphabet]:
     """Read a word file under its header's alphabet, else one inferred from
     its letters and those of texts, words that must share its codec."""
-    lines, header = read_word_lines(path)
-    alphabet = header or Alphabet.inferred([*lines, *texts])
-    first = 1 if header is None else 2  # a header is line 1
-    return [_at_line(path, n, alphabet.encode, ln) for n, ln in enumerate(lines, first)], alphabet
+    rows, alphabet = _read_file(path, texts)
+    return [v for (v,) in rows], alphabet

@@ -251,6 +251,35 @@ def test_malformed_pair_line_is_a_syntax_error_naming_its_line(tmp_path, capsys)
         assert code == env["exit"] == 2 and env["error"]["type"] == "WordSyntaxError"
 
 
+@pytest.mark.parametrize("kind", ["set", "pair"])
+@pytest.mark.parametrize("lines, where", [
+    ([b"ab", b"\xc3b"], ":2:"),  # a byte outside ASCII
+    ([b"#alphabet:a b", b"ab"], ":1:"),  # whitespace among the header's letters
+    ([b"#alphabet: ab", b"ab"], ":1:"),
+    ([b"ab", b"a b"], ":2:"),  # stray whitespace in a line
+    ([b"#alphabet:ab", b"ab", b"ac"], ":3:"),  # a letter outside the header
+], ids=["byte", "header-space", "header-lead", "whitespace", "letter"])
+def test_set_and_pair_files_hold_every_line_to_one_rule(tmp_path, capsys, kind, lines, where):
+    f = tmp_path / "f.txt"
+    tail = b"\tba" if kind == "pair" else b""
+    f.write_bytes(b"".join(ln + (b"" if ln.startswith(b"#") else tail) + b"\n" for ln in lines))
+    argv = ("find-u", "abab", "--set-file") if kind == "set" else ("exists-w", "--pairs")
+    code, out, err = run(capsys, *argv, str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {f}{where} ")
+
+
+def test_solver_errors_name_the_files_letters(tmp_path, capsys):
+    f = tmp_path / "s.txt"
+    message = "word('yx') is not a scattered factor of word('xy')"
+    for header in ("", "#alphabet:xy\n"):
+        f.write_text(f"{header}yx\nxy\n")
+        code, out, err = run(capsys, "find-u", "xy", "--set-file", str(f))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, _ = run(capsys, "--json", "find-u", "xy", "--set-file", str(f), "--all")
+        assert json.loads(out) == {"error": {"type": "NotAScatteredFactor", "message": message}, "exit": 2}
+
+
 def test_find_w(tmp_path, capsys, monkeypatch):
     f = tmp_path / "s.txt"
     f.write_text("ba\n")

@@ -40,7 +40,7 @@ POOLS = {
     "s": ["", "ab", "aB", "a b"],
 }
 
-SKIP = {"read_word_file", "read_word_lines", "run_suite", "run_suites"}
+SKIP = {"read_word_file", "run_suite", "run_suites"}
 
 FUNCTIONS = sorted(
     name

@@ -8,9 +8,7 @@ from scatcomp.words import (
     contains_letter_square,
     is_scattered_factor,
     is_square_free,
-    read_numbered_lines,
     read_word_file,
-    read_word_lines,
     text,
     word,
 )
@@ -150,11 +148,11 @@ def test_read_word_file_header_codec(tmp_path):
     assert words == [Word((3, 2, 1))]
 
 
-def test_read_word_lines_reports_line_numbers(tmp_path):
+def test_read_word_file_reports_line_numbers(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("#alphabet:ab\nab\nb a\n")
     with pytest.raises(WordSyntaxError, match=r":3:"):
-        read_word_lines(p)
+        read_word_file(p)
 
 
 def test_read_word_file_names_the_line_of_a_bad_letter_or_byte(tmp_path):
@@ -167,24 +165,26 @@ def test_read_word_file_names_the_line_of_a_bad_letter_or_byte(tmp_path):
         read_word_file(p)
 
 
-def test_read_word_lines_empty_line_is_empty_word(tmp_path):
+def test_read_word_file_empty_line_is_empty_word(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("ab\n\nba\n")
-    lines, alpha = read_word_lines(p)
-    assert lines == ["ab", "", "ba"]
-    assert alpha is None
+    words, alpha = read_word_file(p)
+    assert words == [word("ab"), Word(), word("ba")]
+    assert alpha == Alphabet("ab")  # inferred: the file has no header
 
 
 def test_lines_end_at_newlines_only(tmp_path):
     # \v, \f and \x1c-\x1e break lines for str.splitlines but not in a file
     p = tmp_path / "s.txt"
     p.write_bytes(b"ab\vba\nzz\n")
-    assert read_numbered_lines(p) == ([(1, "ab\vba"), (2, "zz")], None)
     with pytest.raises(WordSyntaxError, match=rf"^{p}:1: stray whitespace in 'ab\\x0bba'$"):
         read_word_file(p)
+    p.write_text("#alphabet:ab\rab\r\nb\n")
+    assert read_word_file(p) == ([word("ab"), word("b")], Alphabet("ab"))
     for ch in "\f\x1c\x1d\x1e":
         p.write_text(f"#alphabet:ab\rab{ch}\r\nb\n")
-        assert read_numbered_lines(p) == ([(2, f"ab{ch}"), (3, "b")], Alphabet("ab"))
+        with pytest.raises(WordSyntaxError, match=rf"^{p}:2: stray whitespace in 'ab\\x{ord(ch):02x}'$"):
+            read_word_file(p)
 
 
 def test_malformed_header_names_path_and_line(tmp_path):
