@@ -8,7 +8,7 @@ letter of each arch occurs exactly once in that arch.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import WordSyntaxError

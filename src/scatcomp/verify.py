@@ -16,18 +16,19 @@ so a word's census and table rows are freed when its check ends.
 Six claims read only short factors: single-letter-run and
 two-arch-singleton single letters, embedding-lower-bound factors up to
 iota, and first-letter-modus, three-letter-nontrivial and
-modus-prefix-unique factors shorter than iota.  They read
-`_Lab.census_upto(k)`, which enumerates only the subsets of size <= k
-unless the word's full census is already built.
-The three self-shuffle suites read `_Lab.halves`, the least pair of
-embeddings of each v that splits w, from one pass over position subsets.
-A standalone body enumerates its own cases.  The one driver, `run_suites`,
-creates every report and runs the sweep checkers that share a (max_len,
-sigma) in one sweep, so `verify all` builds each census and pair table once
-per default scale.  letter-square-usage reads its truth from w's letter
-runs and the census; multiplicity-sum checks one probe's listed embeddings
-per word by brute force; recover-deleted wants the least u, and find-w the
-least w, found by walking every word's census in order.
+modus-prefix-unique factors shorter than iota.  Each reads
+`_Lab.census_upto(k)` once per word: the full census if the word has one,
+else a census bounded at k that only that check holds.  The three
+self-shuffle suites read `_Lab.halves`, the least pair of embeddings of
+each v that splits w, from one pass over position subsets.  A standalone
+body enumerates its own cases.  The one driver, `run_suites`, creates every
+report and runs the sweep checkers that share a (max_len, sigma) in one
+sweep, so `verify all` builds each census and pair table once per default
+scale.  letter-square-usage reads its truth from w's letter runs and the
+census; multiplicity-sum checks one probe's listed embeddings per word by
+brute force; recover-deleted wants the least u with each census row.
+find-w walks every word in order and checks each (u, C(w, u)) at the first
+w that gives it, keeping only the keys met at the current length.
 
 Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
 second-occurrence-greedy) pin claims with genuine counterexamples and report
@@ -113,25 +114,19 @@ class _Lab:
 
     `census` is the full census; `census_upto(k)` serves a checker that
     reads only factors of length <= k, from the full census if the word
-    already has one, else from a census bounded at k."""
+    already has one, else from a census bounded at k that it does not keep."""
 
     def __init__(self, wt: tuple[int, ...], sigma: int):
         self.wt = wt
         self.n = len(wt)
         self.sigma = sigma
-        self._bounded: dict[int, dict] = {}
 
     @cached_property
     def census(self):
         return _complement_census(self.wt)
 
     def census_upto(self, k: int):
-        if k >= self.n or "census" in self.__dict__:
-            return self.census
-        got = self._bounded.get(k)
-        if got is None:
-            got = self._bounded[k] = _complement_census(self.wt, k)
-        return got
+        return self.census if "census" in self.__dict__ else _complement_census(self.wt, k)
 
     @cached_property
     def fact(self):
@@ -281,9 +276,10 @@ def _ck_two_arch(lab: _Lab, rep: SuiteReport) -> None:
     m1 = fact.modus[0]
     runs = condensed(fact.arches[1])
     form = runs[0] == m1 and m1 not in runs[1:]
+    census = lab.census_upto(1)
     for a in sorted(set(lab.wt)):
         rep.checked += 1
-        singleton = len(lab.census_upto(1)[(a,)]) == 1
+        singleton = len(census[(a,)]) == 1
         if singleton != (a == m1 and form):
             rep.flag(f"w={_fmt(lab.wt)} u={_fmt((a,))}: singleton={singleton} form={form}")
 
@@ -292,12 +288,12 @@ def _ck_single_letter_run(lab: _Lab, rep: SuiteReport) -> None:
     """For a single letter u: |C(w,u)| = 1 iff the occurrences of u in w are
     contiguous.  This is the repaired form of the two-arch claim and holds
     for every universality index."""
-    wt = lab.wt
+    wt, census = lab.wt, lab.census_upto(1)
     runs = condensed(wt)
     for a in sorted(set(wt)):
         rep.checked += 1
         contiguous = runs.count(a) == 1
-        if (len(lab.census_upto(1)[(a,)]) == 1) != contiguous:
+        if (len(census[(a,)]) == 1) != contiguous:
             rep.flag(f"w={_fmt(wt)} u={_fmt((a,))}: contiguous={contiguous}")
 
 
@@ -483,8 +479,9 @@ def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: in
             bit = 1 << wi
             for u, per in _complement_census(w).items():
                 for v in per:
-                    admit[(v, u)] = admit.get((v, u), 0) | bit
-        norm = sorted(p for p in admit if p[0] <= p[1])
+                    if v <= u:
+                        admit[(v, u)] = admit.get((v, u), 0) | bit
+        norm = sorted(admit)
         # single-pair instances: always satisfiable
         for p in norm:
             rep.checked += 1
@@ -514,17 +511,19 @@ def suite_pairwise_disjoint(rep: SuiteReport, max_len: int, sigma: int, seed: in
 
 def suite_find_w(rep: SuiteReport, max_len: int, sigma: int, seed: int) -> None:
     """find_w(u, C(w, u)) is the least w with that complement set of u, for
-    every w up to max_len and scattered factor u; the census of each w gives the truth."""
-    least: dict[tuple, tuple[int, ...]] = {}
+    every w up to max_len and scattered factor u, checked at the first w in
+    order whose census gives (u, S); S fixes |w|, so one length's keys are kept."""
     for n in range(max_len + 1):
+        met: set[tuple] = set()
         for wt in product(range(1, sigma + 1), repeat=n):  # all words, in order
             for u, per in _complement_census(wt).items():
-                least.setdefault((u, frozenset(per)), wt)
-    for (u, S), wt in least.items():
-        rep.checked += 1
-        got = find_w(u, S)
-        if got != wt:
-            rep.flag(f"u={_fmt(u)} S={{{','.join(map(_fmt, sorted(S)))}}}: got {got!r}, want {_fmt(wt)}")
+                S = frozenset(per)
+                if (u, S) not in met:
+                    met.add((u, S))
+                    rep.checked += 1
+                    got = find_w(u, S)
+                    if got != wt:
+                        rep.flag(f"u={_fmt(u)} S={{{','.join(map(_fmt, sorted(S)))}}}: got {got!r}, want {_fmt(wt)}")
 
 
 def _two_pairs(p, q) -> str:

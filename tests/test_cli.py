@@ -337,9 +337,11 @@ def test_budget_env_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "shuffle", "abc", "abc")
     assert code == 3
     assert "budget" in err
-    monkeypatch.setenv("SCATCOMP_BUDGET", "zero")
-    code, _, err = run(capsys, "shuffle", "abc", "abc")
-    assert code == 2
+    for raw in ("zero", "0", "-5"):
+        monkeypatch.setenv("SCATCOMP_BUDGET", raw)
+        code, _, err = run(capsys, "shuffle", "abc", "abc")
+        assert code == 2
+        assert f"SCATCOMP_BUDGET must be a positive integer, got {raw!r}" in err
 
 
 def test_verify_subcommand(capsys):

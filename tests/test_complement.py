@@ -19,7 +19,10 @@ def words(*texts):
 
 
 def test_ananas():
-    assert complement_set(word("ananas"), word("as")).words == words("anna", "nana", "anan")
+    cs = complement_set(word("ananas"), word("as"))
+    assert cs.words == words("anna", "nana", "anan")
+    assert word("anna") in cs and word("naan") not in cs
+    assert cs.total_embeddings is None  # no multiplicities asked for
 
 
 def test_ababa_multiplicities():

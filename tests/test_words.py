@@ -72,6 +72,7 @@ def test_alphabet_codec():
     assert alpha.decode((3, 2, 1)) == "ban"
     assert alpha.size == 3
     assert "n" in alpha and "z" not in alpha
+    assert repr(Alphabet("ab")) == "Alphabet('ab')"
     with pytest.raises(WordSyntaxError):
         alpha.encode("banz")
     with pytest.raises(WordSyntaxError):
