@@ -13,7 +13,7 @@ its list, since complementing reverses lexicographic order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 from .complement import ComplementSet
@@ -97,13 +97,20 @@ def _complement_census(
     raw tuples for the exhaustive verification sweeps.
     """
     n = len(wt)
-    most = n if most is None else min(most, n)
+    full = most is None or most >= n  # then each size's list serves both sides
+    sizes = [list(combinations(wt, m)) for m in range(n + 1)] if full else []
     census: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for m in range(most + 1):
-        for u, v in zip(combinations(wt, m), reversed(list(combinations(wt, n - m)))):
+    for m in range(n + 1 if full else most + 1):
+        us, vs = (sizes[m], sizes[n - m]) if full else (combinations(wt, m), list(combinations(wt, n - m)))
+        for u, v in zip(us, reversed(vs)):
             per_u = census.get(u)
             if per_u is None:
                 census[u] = {v: 1}
             else:
                 per_u[v] = per_u.get(v, 0) + 1
     return census
+
+
+def _scattered_factors(wt: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every distinct scattered factor of wt, in the full census's key order."""
+    return list(dict.fromkeys(chain.from_iterable(combinations(wt, m) for m in range(len(wt) + 1))))

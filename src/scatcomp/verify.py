@@ -10,25 +10,27 @@ per relabeling class, which suffices because the solvers commute with
 relabelings, as the "equivariance" suite spot-checks), reads the word's
 census from a shared `_Lab`, and gets one report per name from the driver.
 The census counts the complements of every scattered factor over all 2^|w|
-position subsets, taken size by size with `itertools.combinations`.
-The checkers walk the census by length and hold no self-calling closure,
-so a word's census and table rows are freed when its check ends.
-Six claims read only short factors: single-letter-run and
-two-arch-singleton single letters, embedding-lower-bound factors up to
-iota, and first-letter-modus, three-letter-nontrivial and
-modus-prefix-unique factors shorter than iota.  Each reads
-`_Lab.census_upto(k)` once per word: the full census if the word has one,
-else a census bounded at k that only that check holds.  The three
-self-shuffle suites read `_Lab.halves`, the least pair of embeddings of
-each v that splits w, from one pass over position subsets.  A standalone
-body enumerates its own cases.  The one driver, `run_suites`, creates every
-report and runs the sweep checkers that share a (max_len, sigma) in one
-sweep, so `verify all` builds each census and pair table once per default
-scale.  letter-square-usage reads its truth from w's letter runs and the
-census; multiplicity-sum checks one probe's listed embeddings per word by
-brute force; recover-deleted wants the least u with each census row.
-find-w walks every word in order and checks each (u, C(w, u)) at the first
-w that gives it, keeping only the keys met at the current length.
+position subsets, taken size by size with `itertools.combinations`; the
+checkers walk it by length and hold no self-calling closure, so a word's
+census and table rows are freed when its check ends.  complement-prefix and
+complement-suffix compare the tables with the census; alone,
+length-uniformity and multiplicity-sum walk `_Lab.factors`, the census's
+keys from one pass that keeps no complement words.  Six claims read
+only short factors: single-letter-run and two-arch-singleton single letters,
+embedding-lower-bound factors up to iota, and first-letter-modus,
+three-letter-nontrivial and modus-prefix-unique factors shorter than iota.
+Each reads `_Lab.census_upto(k)` once per word: the full census if the word
+has one, else a census bounded at k that only that check holds.  The three
+self-shuffle suites read `_Lab.halves`, the least pair of embeddings of each
+v that splits w, from one pass over position subsets.  A standalone body
+enumerates its own cases.  The one driver, `run_suites`, creates every report
+and runs the sweep checkers that share a (max_len, sigma) in one sweep, so
+`verify all` builds each census and pair table once per default scale.
+letter-square-usage reads its truth from w's letter runs and the census;
+multiplicity-sum checks one probe's listed embeddings per word by brute
+force; recover-deleted wants the least u with each census row.  find-w walks
+every word in order and checks each (u, C(w, u)) at the first w that gives
+it, keeping only the keys met at the current length.
 
 Four suites (two-arch-singleton, three-letter-nontrivial, modus-prefix-unique,
 second-occurrence-greedy) pin claims with genuine counterexamples and report
@@ -53,7 +55,7 @@ from .disjoint_embed import _interleavings, exists_word, find_w, reconstruct_wor
 from .errors import ScatcompError
 from .embeddings import count_embeddings, enumerate_embeddings
 from .inverse_u import find_u
-from .oracle import _complement_census, brute_all_scattered_factors, brute_complement_set, brute_exists_word
+from .oracle import _complement_census, _scattered_factors, brute_all_scattered_factors, brute_complement_set, brute_exists_word
 from .shuffle import (
     first_second_occurrence,
     in_shuffle,
@@ -114,7 +116,8 @@ class _Lab:
 
     `census` is the full census; `census_upto(k)` serves a checker that
     reads only factors of length <= k, from the full census if the word
-    already has one, else from a census bounded at k that it does not keep."""
+    already has one, else from a census bounded at k that it does not keep;
+    `factors` lists the census's keys, in order, without building it."""
 
     def __init__(self, wt: tuple[int, ...], sigma: int):
         self.wt = wt
@@ -124,6 +127,10 @@ class _Lab:
     @cached_property
     def census(self):
         return _complement_census(self.wt)
+
+    @cached_property
+    def factors(self):
+        return self.census.keys() if "census" in self.__dict__ else _scattered_factors(self.wt)
 
     def census_upto(self, k: int):
         return self.census if "census" in self.__dict__ else _complement_census(self.wt, k)
@@ -155,22 +162,24 @@ class _Lab:
 
 def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None) -> None:
     """Prefix-table algorithm vs the subset census, for every scattered
-    factor of w at once.  Rows are built in census order, by length, each
-    from its parent's row: u's row extends that of u[:-1], listed earlier.
-    Also checks that every complement word has length |w| - |u|."""
-    wt, n, census = lab.wt, lab.n, lab.census
+    factor of w at once, in factor order: u's row extends that of u[:-1],
+    listed earlier.  Also checks that every complement key has |w| - |u|
+    chunks, which alone reads only the factor list."""
+    wt, n = lab.wt, lab.n
+    census = lab.census if rep is not None else None
     ct, enc, dec = _c._codec(wt)
+    width = len(ct[0]) if ct else 1
     rows = {}
-    for u, per in census.items():
+    for u in census or lab.factors:
         row = rows[u] = _c._extend_row(ct, rows[u[:-1]], enc(u[-1]), _BIG, _BIG)[0] if u else _c._first_row(ct)
-        final = set(map(dec, _c._prefix_cell(row, n)))
+        final = _c._prefix_cell(row, n)
         if rep is not None:
             rep.checked += 1
-            if final != per.keys():
+            if set(map(dec, final)) != census[u].keys():
                 rep.flag(f"w={_fmt(wt)} u={_fmt(u)}: prefix table disagrees with census")
         if lrep is not None:
             lrep.checked += 1
-            k = n - len(u)
+            k = (n - len(u)) * width
             if any(map(k.__ne__, map(len, final))):
                 lrep.flag(f"w={_fmt(wt)} u={_fmt(u)}: complement of wrong length")
     if rep is not None and census:
@@ -186,30 +195,29 @@ def _ck_prefix_alg(lab: _Lab, rep: SuiteReport | None, lrep: SuiteReport | None)
 
 def _ck_suffix_alg(lab: _Lab, rep: SuiteReport | None, mrep: SuiteReport | None) -> None:
     """Suffix-matching algorithm vs the subset census, embedding counts
-    included; multiplicities must also sum to the embedding-count table.
-    Rows are built in census order, by length, each from its parent's row:
-    s's row extends that of s[1:], listed earlier.  On one mid-sized probe
-    per word, the public multiplicities must equal the census and the listed
-    embeddings a brute-force scan of position subsets."""
-    wt, census = lab.wt, lab.census
+    included; multiplicities, as the answer cell stores them, must also sum
+    to the embedding-count table, which alone reads only the factor list.
+    In factor order, s's row extends that of s[1:], listed earlier.  On one
+    mid-sized probe per word, the public multiplicities must equal the census
+    and the listed embeddings a brute-force scan of position subsets."""
+    wt = lab.wt
+    census = lab.census if rep is not None else None
     ct, enc, dec = _c._codec(wt)
     rows = {}
-    for s, per in census.items():
+    for s in census or lab.factors:
         row = rows[s] = _c._extend_suffix_row(ct, rows[s[1:]], enc(s[0]), _BIG, _BIG)[0] if s else _c._last_row(ct)
-        cell = _c._suffix_cell(row, 1)
         if rep is not None:
             rep.checked += 1
-            if {dec(v): c for v, c in cell.items()} != per:
+            if {dec(v): c for v, c in _c._suffix_cell(row, 1).items()} != census[s]:
                 rep.flag(f"w={_fmt(wt)} u={_fmt(s)}: suffix table disagrees with census")
         if mrep is not None:
             mrep.checked += 1
-            if sum(cell.values()) != count_embeddings(wt, s):
+            if sum(row[0][1].values()) != count_embeddings(wt, s):
                 mrep.flag(f"w={_fmt(wt)} u={_fmt(s)}: multiplicities do not sum to the embedding count")
-    keys = sorted(census)
+    keys = sorted(census or lab.factors)
     probe = keys[len(keys) // 2]
-    if rep is not None:
-        if dict(complement_set_with_multiplicity(wt, probe, _BIG).multiplicities) != census[probe]:
-            rep.flag(f"w={_fmt(wt)} u={_fmt(probe)}: public multiplicities disagree with census")
+    if rep is not None and dict(complement_set_with_multiplicity(wt, probe, _BIG).multiplicities) != census[probe]:
+        rep.flag(f"w={_fmt(wt)} u={_fmt(probe)}: public multiplicities disagree with census")
     if mrep is not None:
         # position and letter subsets come out of combinations in step
         k = len(probe)

@@ -8,6 +8,7 @@ from scatcomp.complement import complement_set, complement_set_with_multiplicity
 from scatcomp.errors import BudgetExceeded, LengthMismatch
 from scatcomp.oracle import (
     _complement_census,
+    _scattered_factors,
     brute_all_scattered_factors,
     brute_complement_set,
     brute_exists_word,
@@ -58,11 +59,13 @@ def _in_order(census):
 
 
 def test_full_and_bounded_census_match_position_subsets_in_order():
-    # key order decides which violation a verify suite reports first
+    # key order decides which violation a verify suite reports first; the
+    # factor pass lists the same keys, in the same order, with no complements
     for n in range(9):
         for wt in canonical_words(n, 3):
             full = _in_order(_complement_census(wt))
             assert full == _in_order(_subset_census(wt))
+            assert _scattered_factors(wt) == [u for u, _ in full]
             for most in range(n + 1):
                 bounded = _in_order(_complement_census(wt, most))
                 assert bounded == full[: len(bounded)]

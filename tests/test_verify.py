@@ -223,6 +223,23 @@ def test_listing_and_recovery_suites_catch_their_mutants(monkeypatch):
     assert not run_suite("multiplicity-sum", max_len=4).ok
 
 
+def test_length_and_sum_reports_alone_build_no_census(monkeypatch):
+    # length-uniformity and multiplicity-sum compare nothing with the census:
+    # run alone they walk the factor list, with the checks of a census run
+    want = {nm: _outcome(run_suite(nm, max_len=5)) for nm in ("length-uniformity", "multiplicity-sum")}
+
+    def no_census(*args):
+        raise AssertionError("census built")
+
+    monkeypatch.setattr(verify, "_complement_census", no_census)
+    for nm, outcome in want.items():
+        assert _outcome(run_suite(nm, max_len=5)) == outcome
+        assert outcome[1:] == (957, [], 0)
+    for nm in ("complement-prefix", "complement-suffix"):
+        with pytest.raises(AssertionError, match="census built"):
+            run_suite(nm, max_len=5)
+
+
 def test_no_suite_leaves_reference_cycles():
     # a checker whose locals sit in a cycle keeps each word's census alive
     # until the cycle collector runs
