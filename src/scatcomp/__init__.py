@@ -7,7 +7,7 @@ arch-factorization helpers; brute-force oracles and exhaustive verification
 suites over small alphabets.
 """
 
-from .arch import ArchFactorization, arch_factorize, universality_index
+from .arch import ArchFactorization, arch_factorize
 from .complement import (
     ComplementSet,
     PrefixTable,
@@ -49,7 +49,6 @@ from .words import (
     contains_letter_square,
     is_scattered_factor,
     is_square_free,
-    letters,
     read_word_file,
     text,
     word,
@@ -95,7 +94,6 @@ __all__ = [
     "is_scattered_factor",
     "is_self_shuffle_complement",
     "is_square_free",
-    "letters",
     "perfect_shuffle",
     "read_word_file",
     "reconstruct_word",
@@ -104,6 +102,5 @@ __all__ = [
     "self_shuffle_by_second_occurrence",
     "shuffle_set",
     "text",
-    "universality_index",
     "word",
 ]

@@ -12,18 +12,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import WordSyntaxError
-from .words import Alphabet, Word, letters
+from .words import Alphabet, Word
 
 
-def _resolve_sigma(w: Sequence[int], alphabet) -> frozenset[int]:
+def _resolve_sigma(w: tuple[int, ...], alphabet) -> frozenset[int]:
     if alphabet is None:
-        return letters(w)
+        return frozenset(w)
     if isinstance(alphabet, Alphabet):
         sigma = alphabet.codes()
     else:
         sigma = frozenset(alphabet)
-    if not letters(w) <= sigma:
-        raise WordSyntaxError(f"alphabet {sorted(sigma)} does not cover the letters of {w!r}")
+    if not frozenset(w) <= sigma:
+        raise WordSyntaxError(f"alphabet {sorted(sigma)} does not cover the letters of {Word(w)!r}")
     return sigma
 
 
@@ -43,29 +43,15 @@ class ArchFactorization:
         """Word of the arches' last letters."""
         return Word(ar[-1] for ar in self.arches)
 
-    def inner(self, i: int) -> Word:
-        """Arch i (1-based) without its final letter."""
-        if not 1 <= i <= len(self.arches):
-            raise IndexError(f"arch index {i} out of range 1..{len(self.arches)}")
-        ar = self.arches[i - 1]
-        return Word(ar[:-1])
-
-    @property
-    def word(self) -> Word:
-        out = Word()
-        for ar in self.arches:
-            out = out + ar
-        return out + self.rest
-
 
 def arch_factorize(w: Sequence[int], alphabet=None) -> ArchFactorization:
     """Greedy arch factorization of w over the given alphabet.
 
     alphabet may be an Alphabet, an iterable of letter codes, or None for the
-    letters occurring in w.  The alphabet must cover letters(w).
+    letters occurring in w.  The alphabet must cover the letters of w.
     """
-    sigma = _resolve_sigma(w, alphabet)
     w = tuple(w)
+    sigma = _resolve_sigma(w, alphabet)
     arches: list[Word] = []
     missing = set(sigma)
     start = 0
@@ -76,8 +62,3 @@ def arch_factorize(w: Sequence[int], alphabet=None) -> ArchFactorization:
             start = pos + 1
             missing = set(sigma)
     return ArchFactorization(tuple(arches), Word(w[start:]))
-
-
-def universality_index(w: Sequence[int], alphabet=None) -> int:
-    """Number of arches of w; 0 when some alphabet letter is missing from w."""
-    return len(arch_factorize(w, alphabet).arches)

@@ -20,7 +20,7 @@ that every word of the cell carries: a column without the row letter reuses
 its neighbour's base and lengthens the affix, and a new base is built only
 where the row letter occurs.  Only the cells a caller reads are built in
 full and decoded back to ``Word``: the answer cell, or the cells of a
-`PrefixTable` as they are read.
+`PrefixTable` when its rows are read.
 
 Both tables charge each cell's word count against a budget, whatever the
 words' length or encoding and whether the cell is built or shared, and raise
@@ -208,10 +208,12 @@ def complement_set(
 
 
 class PrefixTable:
-    """Full prefix table P with P[i][j] = C(w[1..j], u[1..i-1]), 1-based.
+    """Full prefix table P with P[i][j] = C(w[1..j], u[1..i-1]), 1-based,
+    read as rows()[i - 1][j - 1].
 
-    The table keeps the lazy rows it was built from and decodes a cell only
-    when it is read, so holding the table costs no more than building it.
+    The table keeps the lazy rows it was built from and decodes its cells
+    only when rows() reads them, so holding the table costs no more than
+    building it.
     """
 
     def __init__(self, w: Word, u: Word, rows: list[_Row], decode: Callable[[bytes], Word]):
@@ -220,24 +222,12 @@ class PrefixTable:
         self._rows = rows
         self._decode = decode
 
-    def _cell(self, i: int, j: int) -> frozenset[Word]:
-        return frozenset(map(self._decode, _prefix_cell(self._rows[i - 1], j)))
-
-    def cell(self, i: int, j: int) -> frozenset[Word]:
-        """Row i in 1..|u|+1, column j in 1..|w|."""
-        if not (1 <= i <= len(self.u) + 1 and 1 <= j <= len(self.w)):
-            raise IndexError(f"cell ({i}, {j}) outside table")
-        return self._cell(i, j)
-
-    @property
-    def final(self) -> frozenset[Word]:
-        return self._cell(len(self.u) + 1, len(self.w))
-
     def rows(self) -> list[list[frozenset[Word]]]:
         """All rows, each with the virtual empty-prefix column dropped."""
+        dec, n = self._decode, len(self.w)
         return [
-            [self._cell(i, j) for j in range(1, len(self.w) + 1)]
-            for i in range(1, len(self.u) + 2)
+            [frozenset(map(dec, _prefix_cell(row, j))) for j in range(1, n + 1)]
+            for row in self._rows
         ]
 
 

@@ -63,10 +63,10 @@ def enumerate_embeddings(
     Each level extends the one before by the allowed positions of one more
     letter of u; every entry completes, so no level is longer than the count.
     """
+    w, u = tuple(w), tuple(u)
     total = count_embeddings(w, u)
     if total > budget:
         raise BudgetExceeded(f"{total} embeddings exceed budget {budget}")
-    w, u = tuple(w), tuple(u)
     if not (total and u):
         return [()] * total
     # right to left: u[i] may sit at its positions before u[i + 1]'s latest
@@ -83,12 +83,12 @@ def enumerate_embeddings(
 
 def complement_of_embedding(w: Sequence[int], e: Sequence[int]) -> Word:
     """Word left over after deleting the embedded positions (1-based) from w."""
-    w = tuple(w)
+    w, e = tuple(w), tuple(e)
     n = len(w)
     prev = 0
     for p in e:
         if not (isinstance(p, int) and prev < p <= n):
-            raise ScatcompError(f"invalid embedding {tuple(e)} for a word of length {n}")
+            raise ScatcompError(f"invalid embedding {e} for a word of length {n}")
         prev = p
     chosen = set(e)
     return Word(a for j, a in enumerate(w, 1) if j not in chosen)
@@ -98,6 +98,7 @@ def group_equal_complements(
     w: Sequence[int], u: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> dict[Word, list[Embedding]]:
     """Embeddings of u into w grouped by their complement word, keys sorted."""
+    w = tuple(w)
     groups: dict[Word, list[Embedding]] = {}
     for e in enumerate_embeddings(w, u, budget):
         groups.setdefault(complement_of_embedding(w, e), []).append(e)

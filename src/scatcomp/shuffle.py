@@ -97,6 +97,7 @@ def is_self_shuffle_complement(w: Sequence[int], u: Sequence[int]) -> bool:
     position 2 is only known to be wrong in hindsight.  So this asks
     `in_shuffle`, which carries every viable split of each prefix at once.
     """
+    u = tuple(u)
     return in_shuffle(w, u, u)
 
 

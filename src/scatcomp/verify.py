@@ -252,8 +252,8 @@ def _ck_embedding_bound(lab: _Lab, rep: SuiteReport) -> None:
 
 
 def _ck_universality(lab: _Lab, rep: SuiteReport) -> None:
-    """iota(w) is the largest k with every length-k word over letters(w) a
-    scattered factor, checked against brute-force factor enumeration."""
+    """iota(w) is the largest k with every length-k word over the letters of
+    w a scattered factor, checked against brute-force factor enumeration."""
     wt, n = lab.wt, lab.n
     if n == 0:
         return

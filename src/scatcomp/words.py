@@ -1,9 +1,8 @@
 """Words over integer letter codes, alphabets for text I/O, and basic predicates.
 
-A word is a tuple of positive letter codes.  All public position arguments are
-1-based (``w.at(3)`` is the third letter); raw tuple indexing stays 0-based and
-is used internally.  Ordering and hashing come from ``tuple``, so words compare
-lexicographically by code.
+A word is a tuple of positive letter codes.  Embeddings name positions
+1-based, as the paper does; tuple indexing stays 0-based.  Ordering and
+hashing come from ``tuple``, so words compare lexicographically by code.
 """
 
 from __future__ import annotations
@@ -21,18 +20,6 @@ class Word(tuple):
     at C speed; the complement tables build one for every word they return."""
 
     __slots__ = ()
-
-    def at(self, i: int) -> int:
-        """Letter code at 1-based position i."""
-        if not 1 <= i <= len(self):
-            raise IndexError(f"position {i} out of range 1..{len(self)}")
-        return self[i - 1]
-
-    def sub(self, i: int, j: int) -> "Word":
-        """Factor spanning 1-based positions i..j; empty when i > j."""
-        if i < 1 or not 0 <= j <= len(self):
-            raise IndexError(f"positions {i}..{j} out of range 1..{len(self)}")
-        return Word(self[i - 1 : j])
 
     def __add__(self, other) -> "Word":  # concatenation
         return Word(tuple.__add__(self, tuple(other)))
@@ -75,10 +62,6 @@ class Alphabet:
         """Alphabet of the sorted distinct characters occurring in texts, or
         Alphabet("a") when texts hold no character at all."""
         return cls(sorted(set().union(*map(set, list(texts)))) or "a")
-
-    @property
-    def size(self) -> int:
-        return len(self._letters)
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -127,11 +110,6 @@ def word(s: str) -> Word:
 def text(w: Sequence[int]) -> str:
     """Inverse of word(): render codes 1..26 as 'a'..'z'."""
     return _AZ.decode(w)
-
-
-def letters(w: Sequence[int]) -> frozenset[int]:
-    """Set of letter codes occurring in w."""
-    return frozenset(w)
 
 
 def is_scattered_factor(u: Sequence[int], w: Sequence[int]) -> bool:

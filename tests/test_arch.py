@@ -1,8 +1,8 @@
 import pytest
 
-from scatcomp.arch import arch_factorize, universality_index
+from scatcomp.arch import arch_factorize
 from scatcomp.errors import WordSyntaxError
-from scatcomp.words import Alphabet, letters, word
+from scatcomp.words import Alphabet, Word, word
 
 
 def test_basic_factorization():
@@ -22,9 +22,9 @@ def test_rest_collects_the_tail():
 
 def test_alphabet_argument_widens_sigma():
     # over {a, b} the word is 2-universal, over {a, b, c} it has no arch
-    assert universality_index(word("abab")) == 2
-    assert universality_index(word("abab"), Alphabet("abc")) == 0
+    assert arch_factorize(word("abab")).universality_index == 2
     f = arch_factorize(word("abab"), Alphabet("abc"))
+    assert f.universality_index == 0
     assert f.arches == ()
     assert f.rest == word("abab")
 
@@ -40,18 +40,10 @@ def test_empty_word():
     assert f.universality_index == 0
 
 
-def test_inner_strips_last_letter():
-    f = arch_factorize(word("aabcabc"))
-    assert f.inner(1) == word("aab")
-    assert f.inner(2) == word("ab")
-    with pytest.raises(IndexError):
-        f.inner(3)
-
-
 def test_word_property_rebuilds_input():
     for s in ["", "a", "abcabc", "aabbcabca", "cabbage"]:
         f = arch_factorize(word(s))
-        assert f.word == word(s)
+        assert sum(f.arches, Word()) + f.rest == word(s)
 
 
 def test_arch_structure_invariants():
@@ -59,9 +51,9 @@ def test_arch_structure_invariants():
     # only occurrence inside that arch; the rest misses some letter
     w = word("abacbcbaacb")
     f = arch_factorize(w)
-    sigma = letters(w)
+    sigma = frozenset(w)
     for ar in f.arches:
-        assert letters(ar) == sigma
+        assert frozenset(ar) == sigma
         assert ar[:-1].count(ar[-1]) == 0
     if f.rest:
-        assert letters(f.rest) != sigma
+        assert frozenset(f.rest) != sigma

@@ -98,31 +98,26 @@ def test_symmetry_on_small_words():
                 assert u in complement_set(w, v).words
 
 
+def _check_table(w, u):
+    # rows()[i - 1][j - 1] is cell (i, j), C(w[1..j], u[1..i-1]): |u| + 1
+    # rows of |w| cells each
+    rows = complement_table(w, u).rows()
+    assert [len(row) for row in rows] == [len(w)] * (len(u) + 1)
+    for i, row in enumerate(rows, 1):
+        for j, cell in enumerate(row, 1):
+            assert cell == brute_complement_set(w[:j], u[: i - 1]).words
+
+
 def test_table_rows_are_prefix_complements():
     w, u = word("ananas"), word("as")
-    table = complement_table(w, u)
+    rows = complement_table(w, u).rows()
     # row 1 deletes nothing: cell (1, j) holds the prefix w[1..j]
-    for j in range(1, len(w) + 1):
-        assert table.cell(1, j) == frozenset({w.sub(1, j)})
-    assert table.final == complement_set(w, u).words
-    for i in range(2, len(u) + 2):
-        for j in range(1, len(w) + 1):
-            prefix, deleted = w.sub(1, j), u.sub(1, i - 1)
-            from scatcomp.words import is_scattered_factor
-
-            if is_scattered_factor(deleted, prefix):
-                assert table.cell(i, j) == complement_set(prefix, deleted).words
-            else:
-                assert table.cell(i, j) == frozenset()
-
-
-def test_table_indices_are_checked():
-    table = complement_table(word("ab"), word("a"))
-    with pytest.raises(IndexError):
-        table.cell(0, 1)
-    with pytest.raises(IndexError):
-        table.cell(1, 3)
-    assert len(table.rows()) == 2
+    assert rows[0] == [frozenset({w[:j]}) for j in range(1, len(w) + 1)]
+    assert rows[-1][-1] == complement_set(w, u).words
+    _check_table(w, u)
+    # an empty w, and a u with letters w lacks, keep the shape
+    assert complement_table((), word("ab")).rows() == [[], [], []]
+    _check_table(word("ab"), word("c"))
 
 
 def test_budget_exceeded():
@@ -212,10 +207,7 @@ def test_wide_letter_codes_against_brute_force():
         assert complement_set(w, u).words == brute.words
         cs = complement_set_with_multiplicity(w, u)
         assert dict(cs.multiplicities) == dict(brute.multiplicities)
-        table = complement_table(w, u)
-        for i in range(1, len(u) + 2):
-            for j in range(1, len(w) + 1):
-                assert table.cell(i, j) == brute_complement_set(w[:j], u[: i - 1]).words
+        _check_table(w, u)
 
 
 def _runs_word(rng, alpha, max_n):
@@ -242,10 +234,7 @@ def test_lazy_cells_against_brute_force():
         assert dict(cs.multiplicities) == dict(brute.multiplicities)
         if k % 3 == 0:
             u = tuple(rng.choice(alpha + [9]) for _ in range(rng.randint(0, 4)))
-        table = complement_table(w, u)
-        for i in range(1, len(u) + 2):
-            for j in range(1, len(w) + 1):
-                assert table.cell(i, j) == brute_complement_set(w[:j], u[: i - 1]).words
+        _check_table(w, u)
 
 
 def test_long_shift_runs_stay_small():
@@ -270,17 +259,15 @@ def test_long_shift_runs_stay_small():
 
 def test_table_decodes_cells_when_read():
     # the long shift run again: decoding every cell of the table up front
-    # took 3.9 s and peaked at 443 MB, holding the lazy rows takes little
+    # took 3.9 s and peaked at 443 MB, holding the lazy rows takes little;
+    # only rows() decodes the cells
     rng = random.Random(1)
     head = tuple(rng.randint(1, 2) for _ in range(32))
     w, u = head + (3,) * 150, head[::4]
     tracemalloc.start()
     try:
-        table = complement_table(w, u)
-        final = table.final
+        complement_table(w, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-    assert final == complement_set(w, u).words
-    assert table.cell(len(u) + 1, len(w)) == final

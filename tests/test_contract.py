@@ -16,6 +16,7 @@ import pytest
 import scatcomp
 from scatcomp import (
     NotAScatteredFactor,
+    PrefixTable,
     ScatcompError,
     Word,
     WordSyntaxError,
@@ -64,6 +65,38 @@ def test_every_call_returns_or_raises_a_library_error(name):
             pass
         except Exception as exc:
             pytest.fail(f"{name}{args!r} raised {type(exc).__name__}: {exc}")
+
+
+ONE_SHOT = ("w", "u", "v", "S", "pairs", "e")
+
+
+def _answer(fn, args):
+    result = fn(*args)
+    if inspect.isgenerator(result):
+        return list(result)
+    return result.rows() if isinstance(result, PrefixTable) else result
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_a_one_shot_iterator_gets_the_same_answer(name):
+    # every word, set, pair list and embedding is read once, so an iterator
+    # over it gives the tuple's answer, or a TypeError where its length is
+    # needed
+    fn = getattr(scatcomp, name)
+    params = list(inspect.signature(fn).parameters)
+    for args in product(*(POOLS[p] for p in params)):
+        try:
+            want = _answer(fn, args)
+        except ScatcompError:
+            continue
+        for k, p in enumerate(params):
+            if p not in ONE_SHOT:
+                continue
+            try:
+                got = _answer(fn, (*args[:k], iter(args[k]), *args[k + 1 :]))
+            except TypeError:
+                continue
+            assert got == want, f"{name}{args!r} with {p} as an iterator"
 
 
 def test_repr_asks_the_a_to_z_codec():

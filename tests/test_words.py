@@ -34,25 +34,6 @@ def test_word_rejects_non_letters():
         word("aB")
 
 
-def test_positions_are_one_based():
-    w = word("abc")
-    assert w.at(1) == 1
-    assert w.at(3) == 3
-    with pytest.raises(IndexError):
-        w.at(0)
-    with pytest.raises(IndexError):
-        w.at(4)
-    assert w.sub(2, 3) == word("bc")
-    assert w.sub(2, 1) == word("")
-    assert w.sub(4, 3) == word("")
-    with pytest.raises(IndexError):
-        w.sub(2, 10)
-    with pytest.raises(IndexError):
-        w.sub(5, 9)
-    with pytest.raises(IndexError):
-        w.sub(2, -1)
-
-
 def test_word_concat_and_power():
     assert word("ab") + word("ba") == word("abba")
     assert word("ab") * 3 == word("ababab")
@@ -70,7 +51,7 @@ def test_alphabet_codec():
     alpha = Alphabet("nab")
     assert alpha.encode("ban") == Word((3, 2, 1))
     assert alpha.decode((3, 2, 1)) == "ban"
-    assert alpha.size == 3
+    assert alpha.letters == ("n", "a", "b")
     assert "n" in alpha and "z" not in alpha
     assert repr(Alphabet("ab")) == "Alphabet('ab')"
     with pytest.raises(WordSyntaxError):
